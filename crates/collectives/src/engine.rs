@@ -90,6 +90,15 @@ impl CollectiveEngine {
     /// each free from `available[d]` (allowing back-to-back collectives on
     /// the same links to contend realistically).
     ///
+    /// The closed form prices each distinct chunk order once and weights
+    /// it by how many chunks share it, so its cost grows with the number
+    /// of distinct orders (one under [`SchedulerPolicy::Baseline`]) times
+    /// the dimension count, not with the configured chunk count. The
+    /// result is exactly what accumulating every chunk separately gives:
+    /// per-dimension busy time and traffic are integer sums and the
+    /// pipeline-fill chain is a maximum, none of which depends on the
+    /// order chunks are issued in.
+    ///
     /// # Panics
     ///
     /// Panics if `dims` is empty or `available.len() != dims.len()`.
@@ -120,20 +129,14 @@ impl CollectiveEngine {
             self.scheduler
                 .plan_orders(collective, chunk_size, dims, self.chunks, &initial_loads);
 
-        // Build each chunk's phase sequence.
-        let plans: Vec<Vec<Phase>> = orders
-            .iter()
-            .map(|order| chunk_phases(collective, chunk_size, dims, order))
-            .collect();
-
         let mut traffic = vec![DataSize::ZERO; dims.len()];
         let mut busy = vec![Time::ZERO; dims.len()];
         let mut chain = Time::ZERO;
-        for plan in &plans {
+        for (order, n) in &orders {
             let mut this_chain = Time::ZERO;
-            for phase in plan {
-                busy[phase.dim] += phase.service;
-                traffic[phase.dim] += phase.traffic;
+            for phase in chunk_phases(collective, chunk_size, dims, order) {
+                busy[phase.dim] += phase.service * *n;
+                traffic[phase.dim] += phase.traffic * *n;
                 this_chain += phase.service + phase.latency;
             }
             chain = chain.max(this_chain);
@@ -145,16 +148,13 @@ impl CollectiveEngine {
         // end-to-end chain (pipeline fill) plus the bottleneck dimension's
         // remaining service, where each dimension first drains any backlog
         // left by earlier collectives on the same links.
-        let chunks = plans.len() as u64;
+        let chunks = self.chunks;
         let finish = start
             + chain
-            + dims
+            + initial_loads
                 .iter()
-                .enumerate()
-                .map(|(d, _)| {
-                    let backlog = available[d].saturating_sub(start);
-                    backlog + (busy[d] * (chunks - 1)) / chunks
-                })
+                .zip(&busy)
+                .map(|(&backlog, &busy)| backlog + (busy * (chunks - 1)) / chunks)
                 .fold(Time::ZERO, Time::max);
         let free_at: Vec<Time> = (0..dims.len())
             .map(|d| available[d].max(start) + busy[d])
@@ -306,6 +306,154 @@ pub fn dimension_traffic(
         }
     }
     out
+}
+
+/// Oracle for [`CollectiveEngine::run_at`]: every chunk gets its own phase
+/// plan and adds its own busy time and traffic, one chunk at a time.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use astra_des::Bandwidth;
+    use astra_topology::BuildingBlock;
+    use proptest::prelude::*;
+
+    fn per_chunk(
+        engine: &CollectiveEngine,
+        collective: Collective,
+        size: DataSize,
+        dims: &[Dimension],
+        start: Time,
+        available: &[Time],
+    ) -> CollectiveOutcome {
+        if size == DataSize::ZERO {
+            return CollectiveOutcome {
+                finish: start,
+                per_dim_busy: vec![Time::ZERO; dims.len()],
+                per_dim_traffic: vec![DataSize::ZERO; dims.len()],
+                free_at: available.to_vec(),
+            };
+        }
+        let chunk_size = size.div_ceil_parts(engine.chunks);
+        let initial_loads: Vec<Time> = available.iter().map(|&a| a.saturating_sub(start)).collect();
+        let orders: Vec<Vec<usize>> = engine
+            .scheduler
+            .plan_orders(collective, chunk_size, dims, engine.chunks, &initial_loads)
+            .into_iter()
+            .flat_map(|(order, n)| std::iter::repeat_n(order, n as usize))
+            .collect();
+        let plans: Vec<Vec<Phase>> = orders
+            .iter()
+            .map(|order| chunk_phases(collective, chunk_size, dims, order))
+            .collect();
+        let mut traffic = vec![DataSize::ZERO; dims.len()];
+        let mut busy = vec![Time::ZERO; dims.len()];
+        let mut chain = Time::ZERO;
+        for plan in &plans {
+            let mut this_chain = Time::ZERO;
+            for phase in plan {
+                busy[phase.dim] += phase.service;
+                traffic[phase.dim] += phase.traffic;
+                this_chain += phase.service + phase.latency;
+            }
+            chain = chain.max(this_chain);
+        }
+        let chunks = plans.len() as u64;
+        let finish = start
+            + chain
+            + (0..dims.len())
+                .map(|d| available[d].saturating_sub(start) + (busy[d] * (chunks - 1)) / chunks)
+                .fold(Time::ZERO, Time::max);
+        let free_at = (0..dims.len())
+            .map(|d| available[d].max(start) + busy[d])
+            .collect();
+        CollectiveOutcome {
+            finish,
+            per_dim_busy: busy,
+            per_dim_traffic: traffic,
+            free_at,
+        }
+    }
+
+    fn arb_dims() -> impl Strategy<Value = Vec<Dimension>> {
+        let block = (0u8..3, 2usize..9).prop_map(|(kind, k)| match kind {
+            0 => BuildingBlock::Ring(k),
+            1 => BuildingBlock::FullyConnected(k),
+            _ => BuildingBlock::Switch(k),
+        });
+        let dim = (block, 1u64..1000, 0u64..5000).prop_map(|(b, bw, ns)| {
+            Dimension::new(b)
+                .with_bandwidth(Bandwidth::from_gbps(bw))
+                .with_link_latency(Time::from_ns(ns))
+        });
+        prop::collection::vec(dim, 1..5)
+    }
+
+    /// Payloads from single bytes (fewer bytes than chunks) up to GiBs.
+    fn arb_size() -> impl Strategy<Value = DataSize> {
+        (0u8..3, 1u64..4096).prop_map(|(scale, n)| match scale {
+            0 => DataSize::from_bytes(n),
+            1 => DataSize::from_kib(n),
+            _ => DataSize::from_mib(n),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn run_at_matches_per_chunk_accumulation(
+            dims in arb_dims(),
+            size in arb_size(),
+            chunks in 1u64..=512,
+            start_us in 0u64..10_000,
+            backlog_us in prop::collection::vec(0u64..20_000, 4..5),
+            coll in prop::sample::select(Collective::ALL.to_vec()),
+        ) {
+            let start = Time::from_us(start_us);
+            let available: Vec<Time> = backlog_us[..dims.len()]
+                .iter()
+                .map(|&b| Time::from_us(b))
+                .collect();
+            for scheduler in [SchedulerPolicy::Baseline, SchedulerPolicy::Themis] {
+                let engine = CollectiveEngine::new(chunks, scheduler);
+                let got = engine.run_at(coll, size, &dims, start, &available);
+                let want = per_chunk(&engine, coll, size, &dims, start, &available);
+                prop_assert_eq!(got, want, "{:?}", scheduler);
+            }
+        }
+    }
+
+    #[test]
+    fn every_collective_and_scheduler_matches_on_fixed_shapes() {
+        let shapes = [
+            "SW(8)@600",
+            "R(4)@250_SW(2)@50",
+            "R(2)@250_FC(8)@200_R(8)@100_SW(4)@50",
+            "FC(4)@300_R(4)@100_SW(4)@25",
+        ];
+        for notation in shapes {
+            let topo = astra_topology::Topology::parse(notation).unwrap();
+            let dims = topo.dims();
+            let available: Vec<Time> = (0..dims.len() as u64)
+                .map(|d| Time::from_us(d * 37))
+                .collect();
+            for coll in Collective::ALL {
+                for scheduler in [SchedulerPolicy::Baseline, SchedulerPolicy::Themis] {
+                    for chunks in [1, 2, 7, 128, 512] {
+                        for bytes in [0, 1, 511, 1 << 20, 1 << 30] {
+                            let engine = CollectiveEngine::new(chunks, scheduler);
+                            let size = DataSize::from_bytes(bytes);
+                            assert_eq!(
+                                engine.run_at(coll, size, dims, Time::from_us(20), &available),
+                                per_chunk(&engine, coll, size, dims, Time::from_us(20), &available),
+                                "{notation} {coll} {scheduler:?} {chunks} chunks {bytes} B"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -38,6 +38,12 @@ type MemoizedProgram = (Arc<CollectiveProgram>, Arc<Vec<Vec<u32>>>);
 #[derive(Clone, Debug)]
 pub struct SystemConfig {
     /// Pipeline chunks per collective (§IV-B chunked multi-rail execution).
+    ///
+    /// Under [`CollectiveMode::Analytical`] the chunk count shapes the
+    /// result (chunk size, pipeline fill) but not the cost of computing
+    /// it: the closed form prices each distinct chunk order once (see
+    /// [`CollectiveEngine::run_at`]). Under [`CollectiveMode::Backend`]
+    /// every chunk becomes send/recv ops, so cost grows with the count.
     pub collective_chunks: u64,
     /// Collective scheduling policy (baseline or Themis, §V-A.1).
     pub scheduler: SchedulerPolicy,
@@ -774,7 +780,12 @@ struct Engine<'a> {
 
     queue: EventQueue<EngineEvent>,
     remaining_deps: Vec<Vec<u32>>,
-    dependents: Vec<Vec<Vec<u32>>>,
+    /// Per NPU, the nodes depending on each node in compressed sparse-row
+    /// form: node `i`'s dependents are
+    /// `dep_targets[npu][dep_offsets[npu][i]..dep_offsets[npu][i + 1]]`,
+    /// in ascending node order.
+    dep_offsets: Vec<Vec<u32>>,
+    dep_targets: Vec<Vec<u32>>,
 
     compute_res: Vec<FifoResource>,
     local_res: Vec<FifoResource>,
@@ -786,7 +797,9 @@ struct Engine<'a> {
     finish: Vec<Time>,
 
     meetings: BTreeMap<(u32, u64), Meeting>,
-    group_counters: BTreeMap<(NpuId, u32), u64>,
+    /// Per group, per member (by rank in the sorted member list): how many
+    /// of the group's collectives that member has issued so far.
+    group_counters: Vec<Vec<u64>>,
     p2p_pending: BTreeMap<(NpuId, NpuId, u64), P2pPending>,
     in_flight: BTreeMap<AsyncMessageId, Outbound>,
     /// Per source (async path; the blocking path models the same NIC lane
@@ -848,19 +861,33 @@ impl<'a> Engine<'a> {
     ) -> Self {
         let npus = trace.npus();
         let mut remaining_deps = Vec::with_capacity(npus);
-        let mut dependents = Vec::with_capacity(npus);
+        let mut dep_offsets = Vec::with_capacity(npus);
+        let mut dep_targets = Vec::with_capacity(npus);
         for npu in 0..npus {
             let program = trace.program(npu);
-            let mut deps = Vec::with_capacity(program.len());
-            let mut dnts: Vec<Vec<u32>> = vec![Vec::new(); program.len()];
-            for (idx, node) in program.iter().enumerate() {
-                deps.push(node.deps.len() as u32);
+            // Count each node's dependents, prefix-sum the counts into row
+            // offsets, then fill the rows in node order.
+            let mut offsets = vec![0u32; program.len() + 1];
+            for node in program {
                 for d in &node.deps {
-                    dnts[d.0 as usize].push(idx as u32);
+                    offsets[d.0 as usize + 1] += 1;
                 }
             }
-            remaining_deps.push(deps);
-            dependents.push(dnts);
+            for i in 1..offsets.len() {
+                offsets[i] += offsets[i - 1];
+            }
+            let mut cursor = offsets[..program.len()].to_vec();
+            let mut targets = vec![0u32; offsets[program.len()] as usize];
+            for (idx, node) in program.iter().enumerate() {
+                for d in &node.deps {
+                    let slot = &mut cursor[d.0 as usize];
+                    targets[*slot as usize] = idx as u32;
+                    *slot += 1;
+                }
+            }
+            remaining_deps.push(program.iter().map(|n| n.deps.len() as u32).collect());
+            dep_offsets.push(offsets);
+            dep_targets.push(targets);
         }
         let mut stragglers: Vec<Vec<(Time, u32, usize)>> = vec![Vec::new(); npus];
         for (idx, ev) in config.faults.events().iter().enumerate() {
@@ -880,7 +907,8 @@ impl<'a> Engine<'a> {
             spans,
             queue: EventQueue::with_backend(config.queue_backend),
             remaining_deps,
-            dependents,
+            dep_offsets,
+            dep_targets,
             compute_res: vec![FifoResource::new(); npus],
             local_res: vec![FifoResource::new(); npus],
             remote_res: vec![FifoResource::new(); npus],
@@ -889,7 +917,7 @@ impl<'a> Engine<'a> {
             logs: (0..npus).map(|_| Default::default()).collect(),
             finish: vec![Time::ZERO; npus],
             meetings: BTreeMap::new(),
-            group_counters: BTreeMap::new(),
+            group_counters: trace.groups().iter().map(|g| vec![0; g.len()]).collect(),
             p2p_pending: BTreeMap::new(),
             in_flight: BTreeMap::new(),
             nic_occupied: vec![false; npus],
@@ -1096,12 +1124,14 @@ impl<'a> Engine<'a> {
             match event {
                 EngineEvent::Node(event) => {
                     self.finish[event.npu] = self.finish[event.npu].max(now);
-                    let deps = std::mem::take(&mut self.dependents[event.npu][event.node as usize]);
-                    for dependent in deps {
-                        let slot = &mut self.remaining_deps[event.npu][dependent as usize];
+                    let (npu, node) = (event.npu, event.node as usize);
+                    let row = self.dep_offsets[npu][node]..self.dep_offsets[npu][node + 1];
+                    for k in row {
+                        let dependent = self.dep_targets[npu][k as usize];
+                        let slot = &mut self.remaining_deps[npu][dependent as usize];
                         *slot -= 1;
                         if *slot == 0 {
-                            self.issue(event.npu, dependent, now)?;
+                            self.issue(npu, dependent, now)?;
                         }
                     }
                 }
@@ -1221,7 +1251,13 @@ impl<'a> Engine<'a> {
                     .schedule_at(r.end, EngineEvent::Node(Event { npu, node }));
             }
             EtOp::Collective { group, .. } => {
-                let counter = self.group_counters.entry((npu, group.0)).or_insert(0);
+                // Groups are sorted, so a member's counter sits at its rank.
+                let Ok(rank) = self.trace.group(group).binary_search(&npu) else {
+                    return Err(SimError::Internal(
+                        "a collective was issued by a non-member of its group",
+                    ));
+                };
+                let counter = &mut self.group_counters[group.0 as usize][rank];
                 let instance = *counter;
                 *counter += 1;
                 let meeting = self

@@ -6,9 +6,8 @@
 //! [`JsonEtConverter`] handles the native JSON schema. Converters for other
 //! sources implement the same trait.
 
-use crate::trace::ExecutionTrace;
+use crate::trace::{ExecutionTrace, JsonEtError};
 use std::error::Error;
-use std::fmt;
 
 /// Converts an external trace representation into an [`ExecutionTrace`].
 pub trait TraceConverter {
@@ -26,24 +25,8 @@ pub trait TraceConverter {
     fn source_format(&self) -> &'static str;
 }
 
-/// Error wrapper for JSON ET parsing.
-#[derive(Debug)]
-pub struct JsonEtError(serde_json::Error);
-
-impl fmt::Display for JsonEtError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid ASTRA-sim JSON ET: {}", self.0)
-    }
-}
-
-impl Error for JsonEtError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        Some(&self.0)
-    }
-}
-
 /// The native converter: parses the ASTRA-sim JSON ET schema produced by
-/// [`ExecutionTrace::to_json`].
+/// [`ExecutionTrace::to_json`] and validates it like [`ExecutionTrace::from_json`].
 ///
 /// # Example
 ///
@@ -62,7 +45,7 @@ impl TraceConverter for JsonEtConverter {
     type Error = JsonEtError;
 
     fn convert(&self, input: &str) -> Result<ExecutionTrace, Self::Error> {
-        ExecutionTrace::from_json(input).map_err(JsonEtError)
+        ExecutionTrace::from_json(input)
     }
 
     fn source_format(&self) -> &'static str {
@@ -84,6 +67,23 @@ mod tests {
         let restored = JsonEtConverter.convert(&json).unwrap();
         assert_eq!(restored, trace);
         assert_eq!(JsonEtConverter.source_format(), "astra-json");
+    }
+
+    #[test]
+    fn json_converter_rejects_dangling_dependency() {
+        let trace = parallelism::generate_trace(&models::dlrm_57m(), Parallelism::Data, 4).unwrap();
+        let json = trace.to_json().unwrap();
+        let broken = json.replacen("\"deps\": []", "\"deps\": [999999]", 1);
+        assert_ne!(broken, json, "the fixture has a root node to break");
+        let err = JsonEtConverter.convert(&broken).unwrap_err();
+        assert!(matches!(
+            err,
+            JsonEtError::Invalid(crate::TraceError::BadDependency { npu: 0, node: 0 })
+        ));
+        assert!(
+            err.to_string().contains("invalid ASTRA-sim JSON ET"),
+            "{err}"
+        );
     }
 
     #[test]

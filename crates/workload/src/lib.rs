@@ -53,7 +53,7 @@ pub use pytorch::{PyTorchEgConverter, PyTorchEgError};
 pub use roofline::Roofline;
 pub use stats::TraceStats;
 pub use trace::{
-    EtNode, EtOp, ExecutionTrace, GroupId, MemoryDirection, NodeId, ProgramBuilder, TensorLocation,
-    TraceBuilder, TraceError,
+    EtNode, EtOp, ExecutionTrace, GroupId, JsonEtError, MemoryDirection, NodeId, ProgramBuilder,
+    TensorLocation, TraceBuilder, TraceError,
 };
 pub use warm::SharedTraceCache;

@@ -187,21 +187,81 @@ impl ExecutionTrace {
     }
 
     /// Parses a JSON ET produced by [`ExecutionTrace::to_json`] (or an
-    /// external converter emitting the same schema).
+    /// external converter emitting the same schema) and runs the structural
+    /// checks of [`TraceBuilder::build`] on it.
     ///
     /// # Errors
     ///
-    /// Returns a `serde_json` error on malformed input. Note this performs
-    /// schema validation only; use [`TraceBuilder`] to construct validated
-    /// traces programmatically.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
+    /// Returns [`JsonEtError::Json`] on malformed input and
+    /// [`JsonEtError::Invalid`] when the parsed trace breaks a structural
+    /// rule (see [`TraceError`]).
+    pub fn from_json(json: &str) -> Result<Self, JsonEtError> {
+        let trace: ExecutionTrace = serde_json::from_str(json).map_err(JsonEtError::Json)?;
+        TraceBuilder {
+            name: trace.name,
+            npus: trace.npus,
+            groups: trace.groups,
+            programs: trace.programs,
+        }
+        .build()
+        .map_err(JsonEtError::Invalid)
     }
 }
 
-/// Errors detected while building a trace.
+/// Errors from loading a JSON ET.
+#[derive(Debug)]
+pub enum JsonEtError {
+    /// The text is not JSON or does not follow the ET schema.
+    Json(serde_json::Error),
+    /// The trace parsed but breaks a structural rule.
+    Invalid(TraceError),
+}
+
+impl fmt::Display for JsonEtError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JsonEtError::Json(e) => write!(f, "invalid ASTRA-sim JSON ET: {e}"),
+            JsonEtError::Invalid(e) => write!(f, "invalid ASTRA-sim JSON ET: {e}"),
+        }
+    }
+}
+
+impl Error for JsonEtError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            JsonEtError::Json(e) => Some(e),
+            JsonEtError::Invalid(e) => Some(e),
+        }
+    }
+}
+
+/// Errors detected while building or loading a trace.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceError {
+    /// The trace targets no NPUs, or its program count differs from its
+    /// NPU count.
+    BadNpuCount {
+        /// Declared NPU count.
+        npus: usize,
+        /// Number of per-NPU programs.
+        programs: usize,
+    },
+    /// A communicator group has no members.
+    EmptyGroup {
+        /// Offending group id.
+        group: u32,
+    },
+    /// A communicator group's members are not strictly ascending (unsorted
+    /// or duplicated).
+    UnsortedGroup {
+        /// Offending group id.
+        group: u32,
+    },
+    /// A communicator group names an out-of-range NPU.
+    BadGroupMember {
+        /// Offending group id.
+        group: u32,
+    },
     /// A node referenced a dependency that does not precede it.
     BadDependency {
         /// NPU owning the node.
@@ -244,6 +304,16 @@ pub enum TraceError {
 impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            TraceError::BadNpuCount { npus, programs } => {
+                write!(f, "trace declares {npus} NPUs but has {programs} programs")
+            }
+            TraceError::EmptyGroup { group } => write!(f, "group {group} has no members"),
+            TraceError::UnsortedGroup { group } => {
+                write!(f, "group {group} members are not sorted and distinct")
+            }
+            TraceError::BadGroupMember { group } => {
+                write!(f, "group {group} names an out-of-range NPU")
+            }
             TraceError::BadDependency { npu, node } => {
                 write!(
                     f,
@@ -449,9 +519,30 @@ impl TraceBuilder {
     /// # Errors
     ///
     /// Returns a [`TraceError`] describing the first structural problem
-    /// found (dangling dependency, unknown group, non-member collective,
-    /// out-of-range peer, or unmatched send/recv).
+    /// found (program count not matching the NPU count, an empty, unsorted
+    /// or out-of-range group, dangling dependency, unknown group,
+    /// non-member collective, out-of-range peer, or unmatched send/recv).
+    /// The simulator relies on every one of these rules.
     pub fn build(self) -> Result<ExecutionTrace, TraceError> {
+        if self.npus == 0 || self.programs.len() != self.npus {
+            return Err(TraceError::BadNpuCount {
+                npus: self.npus,
+                programs: self.programs.len(),
+            });
+        }
+        for (gi, members) in self.groups.iter().enumerate() {
+            let group = gi as u32;
+            match members.last() {
+                None => return Err(TraceError::EmptyGroup { group }),
+                Some(&last) if last >= self.npus => {
+                    return Err(TraceError::BadGroupMember { group })
+                }
+                Some(_) => {}
+            }
+            if members.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(TraceError::UnsortedGroup { group });
+            }
+        }
         let mut sends: std::collections::BTreeMap<(NpuId, NpuId, u64), i64> =
             std::collections::BTreeMap::new();
         for (npu, program) in self.programs.iter().enumerate() {
@@ -468,8 +559,8 @@ impl TraceBuilder {
                             .groups
                             .get(group.0 as usize)
                             .ok_or(TraceError::BadGroup { npu, node: idx_u32 })?;
-                        // `add_group` keeps members sorted, so membership is
-                        // a binary search — this check runs once per
+                        // Members are sorted (checked above), so membership
+                        // is a binary search — this check runs once per
                         // collective node across every NPU's program.
                         if members.binary_search(&npu).is_err() {
                             return Err(TraceError::NotAMember { npu, node: idx_u32 });
@@ -689,6 +780,191 @@ mod tests {
         let t = b.build().unwrap();
         let json = t.to_json().unwrap();
         assert_eq!(ExecutionTrace::from_json(&json).unwrap(), t);
+    }
+
+    /// A two-NPU trace with one collective per NPU and one send/recv pair,
+    /// assembled without validation so tests can break one rule at a time.
+    fn raw_trace() -> ExecutionTrace {
+        let ar = |group| EtNode {
+            name: "ar".into(),
+            op: EtOp::Collective {
+                collective: Collective::AllReduce,
+                size: DataSize::from_mib(1),
+                group: GroupId(group),
+            },
+            deps: vec![NodeId(0)],
+        };
+        let peer = |op| EtNode {
+            name: "p2p".into(),
+            op,
+            deps: vec![],
+        };
+        let size = DataSize::from_mib(1);
+        ExecutionTrace {
+            name: "raw".into(),
+            npus: 2,
+            groups: vec![vec![0, 1]],
+            programs: vec![
+                vec![
+                    peer(EtOp::PeerSend {
+                        peer: 1,
+                        size,
+                        tag: 3,
+                    }),
+                    ar(0),
+                ],
+                vec![
+                    peer(EtOp::PeerRecv {
+                        peer: 0,
+                        size,
+                        tag: 3,
+                    }),
+                    ar(0),
+                ],
+            ],
+        }
+    }
+
+    /// Serializes `trace` and loads it back, returning the validation error.
+    fn load_error(trace: &ExecutionTrace) -> TraceError {
+        match ExecutionTrace::from_json(&trace.to_json().unwrap()) {
+            Err(JsonEtError::Invalid(e)) => e,
+            other => panic!("expected a validation error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn loading_accepts_a_valid_trace() {
+        let t = raw_trace();
+        assert_eq!(ExecutionTrace::from_json(&t.to_json().unwrap()).unwrap(), t);
+    }
+
+    #[test]
+    fn loading_rejects_dependency_out_of_range() {
+        let mut t = raw_trace();
+        t.programs[1][1].deps = vec![NodeId(999_999)];
+        assert_eq!(
+            load_error(&t),
+            TraceError::BadDependency { npu: 1, node: 1 }
+        );
+    }
+
+    #[test]
+    fn loading_rejects_dependency_on_itself() {
+        let mut t = raw_trace();
+        t.programs[0][1].deps = vec![NodeId(1)];
+        assert_eq!(
+            load_error(&t),
+            TraceError::BadDependency { npu: 0, node: 1 }
+        );
+    }
+
+    #[test]
+    fn loading_rejects_unknown_group_id() {
+        let mut t = raw_trace();
+        t.programs[0][1].op = EtOp::Collective {
+            collective: Collective::AllReduce,
+            size: DataSize::from_mib(1),
+            group: GroupId(7),
+        };
+        assert_eq!(load_error(&t), TraceError::BadGroup { npu: 0, node: 1 });
+    }
+
+    #[test]
+    fn loading_rejects_collective_from_non_member() {
+        let mut t = raw_trace();
+        t.groups[0] = vec![0];
+        assert_eq!(load_error(&t), TraceError::NotAMember { npu: 1, node: 1 });
+    }
+
+    #[test]
+    fn loading_rejects_empty_group() {
+        let mut t = raw_trace();
+        t.groups.push(vec![]);
+        assert_eq!(load_error(&t), TraceError::EmptyGroup { group: 1 });
+    }
+
+    #[test]
+    fn loading_rejects_unsorted_group() {
+        let mut t = raw_trace();
+        t.groups[0] = vec![1, 0];
+        assert_eq!(load_error(&t), TraceError::UnsortedGroup { group: 0 });
+    }
+
+    #[test]
+    fn loading_rejects_duplicated_group_member() {
+        let mut t = raw_trace();
+        t.groups[0] = vec![0, 1, 1];
+        assert_eq!(load_error(&t), TraceError::UnsortedGroup { group: 0 });
+    }
+
+    #[test]
+    fn loading_rejects_out_of_range_group_member() {
+        let mut t = raw_trace();
+        t.groups[0] = vec![0, 1, 2];
+        assert_eq!(load_error(&t), TraceError::BadGroupMember { group: 0 });
+    }
+
+    #[test]
+    fn loading_rejects_out_of_range_peer() {
+        let mut t = raw_trace();
+        t.programs[0][0].op = EtOp::PeerSend {
+            peer: 9,
+            size: DataSize::from_mib(1),
+            tag: 3,
+        };
+        assert_eq!(load_error(&t), TraceError::BadPeer { npu: 0, node: 0 });
+    }
+
+    #[test]
+    fn loading_rejects_unmatched_send() {
+        let mut t = raw_trace();
+        t.programs[1][0].op = EtOp::PeerRecv {
+            peer: 0,
+            size: DataSize::from_mib(1),
+            tag: 4,
+        };
+        assert_eq!(
+            load_error(&t),
+            TraceError::UnmatchedPeerMessage {
+                src: 0,
+                dst: 1,
+                tag: 3
+            }
+        );
+    }
+
+    #[test]
+    fn loading_rejects_program_count_mismatch() {
+        let mut t = raw_trace();
+        t.npus = 3;
+        assert_eq!(
+            load_error(&t),
+            TraceError::BadNpuCount {
+                npus: 3,
+                programs: 2
+            }
+        );
+        t.npus = 0;
+        t.programs.clear();
+        t.groups.clear();
+        assert_eq!(
+            load_error(&t),
+            TraceError::BadNpuCount {
+                npus: 0,
+                programs: 0
+            }
+        );
+    }
+
+    #[test]
+    fn builder_rejects_empty_and_out_of_range_groups() {
+        let mut b = TraceBuilder::new(2);
+        b.add_group(vec![]);
+        assert_eq!(b.build(), Err(TraceError::EmptyGroup { group: 0 }));
+        let mut b = TraceBuilder::new(2);
+        b.add_group(vec![0, 5]);
+        assert_eq!(b.build(), Err(TraceError::BadGroupMember { group: 0 }));
     }
 
     #[test]
