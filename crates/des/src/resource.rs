@@ -7,6 +7,8 @@
 //! occupancy is computable in closed form from the arrival profile — one
 //! call instead of one `acquire` per packet, with bit-identical results.
 
+use std::fmt;
+
 use crate::Time;
 
 /// A time interval granted by [`FifoResource::acquire`].
@@ -181,7 +183,7 @@ impl FifoResource {
     ) -> TrainOccupancy {
         let total = arrivals.count();
         assert!(total > 0, "cannot reserve an empty packet train");
-        let mut completions = TrainProfile { runs: Vec::new() };
+        let mut completions = TrainProfile::empty();
         let mut prev_end = self.free_at;
         let mut first: Option<Reservation> = None;
         let mut served = 0u64;
@@ -189,7 +191,7 @@ impl FifoResource {
             start: prev_end,
             end: prev_end,
         };
-        for run in &arrivals.runs {
+        for run in arrivals.runs() {
             // The train's final packet is served at `tail_service`; split it
             // off the run that contains it.
             let body = if served + run.count == total {
@@ -324,6 +326,34 @@ impl ArrivalRun {
     }
 }
 
+/// Runs a [`TrainProfile`] stores inline before it spills to the heap.
+///
+/// A message injected at one instant is a single run, and a FIFO link
+/// traversal typically leaves one or two (a back-to-back body, then a
+/// short tail or an arrival-paced suffix), so the profiles the batched
+/// transport hands from hop to hop fit with room to spare. The replayed
+/// per-packet completions of split-merged trains are what spills.
+const INLINE_RUNS: usize = 4;
+
+/// Filler for the unused inline slots (never read through [`TrainProfile::runs`]).
+const NO_RUN: ArrivalRun = ArrivalRun {
+    count: 0,
+    first: Time::ZERO,
+    spacing: Time::ZERO,
+};
+
+/// Backing store of a [`TrainProfile`]: the first [`INLINE_RUNS`] runs
+/// live in place, and the whole list moves to a `Vec` once it outgrows
+/// them.
+#[derive(Clone)]
+enum RunStore {
+    Inline {
+        len: u8,
+        runs: [ArrivalRun; INLINE_RUNS],
+    },
+    Spilled(Vec<ArrivalRun>),
+}
+
 /// Piecewise-arithmetic time profile of a packet train (arrival or
 /// completion instants), kept as a short list of [`ArrivalRun`]s.
 ///
@@ -331,9 +361,15 @@ impl ArrivalRun {
 /// FIFO link traversal maps the profile to at most one extra run (see
 /// [`FifoResource::acquire_train`]), so profiles stay tiny even for trains
 /// of millions of packets.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Storage: the first four runs are held inline, so building, copying,
+/// delaying and serving a typical profile never touches the heap; a
+/// profile with more runs (a split-merged train's replayed completions)
+/// moves them all into one `Vec`. The storage is invisible through the
+/// API: equality compares the run lists, whichever way they are stored.
+#[derive(Clone)]
 pub struct TrainProfile {
-    runs: Vec<ArrivalRun>,
+    store: RunStore,
 }
 
 impl TrainProfile {
@@ -344,13 +380,11 @@ impl TrainProfile {
     /// Panics if `count == 0`.
     pub fn simultaneous(count: u64, at: Time) -> Self {
         assert!(count > 0, "a packet train needs at least one packet");
-        TrainProfile {
-            runs: vec![ArrivalRun {
-                count,
-                first: at,
-                spacing: Time::ZERO,
-            }],
-        }
+        Self::single(ArrivalRun {
+            count,
+            first: at,
+            spacing: Time::ZERO,
+        })
     }
 
     /// An empty profile, to be filled with [`TrainProfile::append`].
@@ -359,7 +393,18 @@ impl TrainProfile {
     /// profiles incrementally must append at least one time before handing
     /// the profile to [`FifoResource::acquire_train`].
     pub fn empty() -> Self {
-        TrainProfile { runs: Vec::new() }
+        TrainProfile {
+            store: RunStore::Inline {
+                len: 0,
+                runs: [NO_RUN; INLINE_RUNS],
+            },
+        }
+    }
+
+    fn single(run: ArrivalRun) -> Self {
+        let mut profile = Self::empty();
+        profile.push_run(run);
+        profile
     }
 
     /// Appends a single packet time, merging it into the trailing run when
@@ -380,7 +425,7 @@ impl TrainProfile {
     /// Panics if `run.count == 0`.
     pub fn arithmetic(run: ArrivalRun) -> Self {
         assert!(run.count > 0, "a packet train needs at least one packet");
-        TrainProfile { runs: vec![run] }
+        Self::single(run)
     }
 
     /// Concatenates two profiles into one train.
@@ -391,7 +436,7 @@ impl TrainProfile {
     /// times must stay non-decreasing).
     pub fn concat(&self, other: &TrainProfile) -> TrainProfile {
         let mut out = self.clone();
-        for &run in &other.runs {
+        for &run in other.runs() {
             out.push_run(run);
         }
         out
@@ -399,44 +444,49 @@ impl TrainProfile {
 
     /// The runs making up the profile, in time order.
     pub fn runs(&self) -> &[ArrivalRun] {
-        &self.runs
+        match &self.store {
+            RunStore::Inline { len, runs } => &runs[..usize::from(*len)],
+            RunStore::Spilled(runs) => runs,
+        }
+    }
+
+    fn runs_mut(&mut self) -> &mut [ArrivalRun] {
+        match &mut self.store {
+            RunStore::Inline { len, runs } => &mut runs[..usize::from(*len)],
+            RunStore::Spilled(runs) => runs,
+        }
     }
 
     /// Total packets in the train.
     pub fn count(&self) -> u64 {
-        self.runs.iter().map(|r| r.count).sum()
+        self.runs().iter().map(|r| r.count).sum()
     }
 
     /// Time of the first packet.
     pub fn first(&self) -> Time {
         // astra-lint: allow(panic, profiles are built non-empty; an empty one is a transport bug)
-        self.runs.first().expect("non-empty train").first
+        self.runs().first().expect("non-empty train").first
     }
 
     /// Time of the last packet.
     pub fn last(&self) -> Time {
         // astra-lint: allow(panic, profiles are built non-empty; an empty one is a transport bug)
-        self.runs.last().expect("non-empty train").last()
+        self.runs().last().expect("non-empty train").last()
     }
 
     /// The same profile shifted later by `delay` (e.g. a link's propagation
     /// latency applied to its completion profile).
     pub fn delayed_by(&self, delay: Time) -> TrainProfile {
-        TrainProfile {
-            runs: self
-                .runs
-                .iter()
-                .map(|r| ArrivalRun {
-                    first: r.first + delay,
-                    ..*r
-                })
-                .collect(),
+        let mut out = self.clone();
+        for run in out.runs_mut() {
+            run.first += delay;
         }
+        out
     }
 
     /// Every packet time, expanded (test/diagnostic helper — O(packets)).
     pub fn times(&self) -> impl Iterator<Item = Time> + '_ {
-        self.runs
+        self.runs()
             .iter()
             .flat_map(|r| (0..r.count).map(move |i| r.first + r.spacing * i))
     }
@@ -447,7 +497,7 @@ impl TrainProfile {
         if run.count == 0 {
             return;
         }
-        if let Some(prev) = self.runs.last_mut() {
+        if let Some(prev) = self.runs_mut().last_mut() {
             // Completion instants are non-decreasing, so the gap between the
             // previous run's last packet and this run's first is well-defined.
             let gap = run.first - prev.last();
@@ -459,7 +509,35 @@ impl TrainProfile {
                 return;
             }
         }
-        self.runs.push(run);
+        match &mut self.store {
+            RunStore::Inline { len, runs } if usize::from(*len) < INLINE_RUNS => {
+                runs[usize::from(*len)] = run;
+                *len += 1;
+            }
+            RunStore::Inline { runs, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE_RUNS);
+                spilled.extend_from_slice(runs);
+                spilled.push(run);
+                self.store = RunStore::Spilled(spilled);
+            }
+            RunStore::Spilled(runs) => runs.push(run),
+        }
+    }
+}
+
+impl PartialEq for TrainProfile {
+    fn eq(&self, other: &Self) -> bool {
+        self.runs() == other.runs()
+    }
+}
+
+impl Eq for TrainProfile {}
+
+impl fmt::Debug for TrainProfile {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TrainProfile")
+            .field("runs", &self.runs())
+            .finish()
     }
 }
 
@@ -560,13 +638,11 @@ mod tests {
     #[test]
     fn train_dense_arrivals_queue_back_to_back() {
         // Arrivals at exactly the service spacing (saturated upstream link).
-        let t = TrainProfile {
-            runs: vec![ArrivalRun {
-                count: 8,
-                first: Time::from_us(10),
-                spacing: Time::from_us(2),
-            }],
-        };
+        let t = TrainProfile::arithmetic(ArrivalRun {
+            count: 8,
+            first: Time::from_us(10),
+            spacing: Time::from_us(2),
+        });
         assert_train_matches(&t, Time::from_us(2), Time::from_us(2), Time::ZERO);
         assert_train_matches(&t, Time::from_us(2), Time::from_us(1), Time::from_us(25));
     }
@@ -575,13 +651,11 @@ mod tests {
     fn train_sparse_arrivals_split_into_queued_then_paced() {
         // Arrivals slower than the service rate behind a busy resource: a
         // queued prefix drains back-to-back, then packets start on arrival.
-        let t = TrainProfile {
-            runs: vec![ArrivalRun {
-                count: 10,
-                first: Time::from_us(0),
-                spacing: Time::from_us(5),
-            }],
-        };
+        let t = TrainProfile::arithmetic(ArrivalRun {
+            count: 10,
+            first: Time::from_us(0),
+            spacing: Time::from_us(5),
+        });
         assert_train_matches(&t, Time::from_us(2), Time::from_us(2), Time::from_us(19));
         let mut res = FifoResource::available_from(Time::from_us(19));
         let occ = res.acquire_train(&t, Time::from_us(2), Time::from_us(2));
@@ -678,7 +752,163 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty packet train")]
     fn empty_train_rejected() {
-        let empty = TrainProfile { runs: vec![] };
-        FifoResource::new().acquire_train(&empty, Time::from_us(1), Time::from_us(1));
+        FifoResource::new().acquire_train(
+            &TrainProfile::empty(),
+            Time::from_us(1),
+            Time::from_us(1),
+        );
+    }
+
+    /// Test-only model of a profile: the plain `Vec` the inline storage
+    /// replaced, with the same run-merging rule.
+    #[derive(Clone, Debug, Default)]
+    struct ModelProfile {
+        runs: Vec<ArrivalRun>,
+    }
+
+    impl ModelProfile {
+        fn push_run(&mut self, run: ArrivalRun) {
+            if let Some(prev) = self.runs.last_mut() {
+                let gap = run.first - prev.last();
+                if (prev.count == 1 || prev.spacing == gap)
+                    && (run.count == 1 || run.spacing == gap)
+                {
+                    prev.spacing = gap;
+                    prev.count += run.count;
+                    return;
+                }
+            }
+            self.runs.push(run);
+        }
+
+        fn last(&self) -> Time {
+            self.runs.last().unwrap().last()
+        }
+
+        fn times(&self) -> Vec<Time> {
+            self.runs
+                .iter()
+                .flat_map(|r| (0..r.count).map(move |i| r.first + r.spacing * i))
+                .collect()
+        }
+    }
+
+    /// One step of a random profile history: `(kind, gap_ns, count,
+    /// spacing_ns)`. Kind 0 appends one time, kind 1 concatenates an
+    /// arithmetic run, kind 2 delays the whole profile by `gap_ns`.
+    type Step = (u8, u64, u64, u64);
+
+    fn apply(profile: &mut TrainProfile, model: &mut ModelProfile, step: Step) {
+        let (kind, gap, count, spacing) = step;
+        let gap = Time::from_ns(gap);
+        match kind {
+            0 => {
+                let at = model.last() + gap;
+                profile.append(at);
+                model.push_run(ArrivalRun {
+                    count: 1,
+                    first: at,
+                    spacing: Time::ZERO,
+                });
+            }
+            1 => {
+                let run = ArrivalRun {
+                    count,
+                    first: model.last() + gap,
+                    spacing: Time::from_ns(spacing),
+                };
+                *profile = profile.concat(&TrainProfile::arithmetic(run));
+                model.push_run(run);
+            }
+            _ => {
+                *profile = profile.delayed_by(gap);
+                for run in &mut model.runs {
+                    run.first += gap;
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Profiles built through the public constructors agree exactly
+        /// with the plain-`Vec` model on both sides of the inline
+        /// capacity, and so does the occupancy `acquire_train` derives
+        /// from them.
+        #[test]
+        fn inline_storage_matches_vec_model(
+            first in (1u64..6, 0u64..4),
+            steps in proptest::collection::vec((0u8..3, 0u64..5, 1u64..6, 0u64..4), 1..16),
+            service in (1u64..5, 1u64..5),
+            seed in 0u64..40,
+        ) {
+            let run = ArrivalRun {
+                count: first.0,
+                first: Time::from_ns(3),
+                spacing: Time::from_ns(first.1),
+            };
+            let mut profile = TrainProfile::arithmetic(run);
+            let mut model = ModelProfile::default();
+            model.push_run(run);
+            for &step in &steps {
+                apply(&mut profile, &mut model, step);
+                proptest::prop_assert_eq!(profile.runs(), model.runs.as_slice());
+            }
+            proptest::prop_assert_eq!(profile.count(), model.runs.iter().map(|r| r.count).sum::<u64>());
+            proptest::prop_assert_eq!(profile.first(), model.runs[0].first);
+            proptest::prop_assert_eq!(profile.last(), model.last());
+            proptest::prop_assert_eq!(profile.times().collect::<Vec<_>>(), model.times());
+
+            // Equality ignores the storage: a copy rebuilt run by run from
+            // the model is equal, and any extra packet makes it unequal.
+            let mut rebuilt = TrainProfile::arithmetic(model.runs[0]);
+            for &run in &model.runs[1..] {
+                rebuilt = rebuilt.concat(&TrainProfile::arithmetic(run));
+            }
+            proptest::prop_assert_eq!(&rebuilt, &profile);
+            let mut longer = profile.clone();
+            longer.append(model.last() + Time::from_ns(1));
+            proptest::prop_assert_ne!(&longer, &profile);
+
+            // The bulk reservation over the profile matches the per-packet
+            // loop over the model's times.
+            let (service, tail) = (Time::from_ns(service.0), Time::from_ns(service.1));
+            let seed = Time::from_ns(seed);
+            let mut bulk = FifoResource::available_from(seed);
+            let occ = bulk.acquire_train(&profile, service, tail);
+            let mut serial = FifoResource::available_from(seed);
+            let times = model.times();
+            let refs: Vec<Reservation> = times
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| serial.acquire(t, if i + 1 == times.len() { tail } else { service }))
+                .collect();
+            proptest::prop_assert_eq!(occ.first, refs[0]);
+            proptest::prop_assert_eq!(occ.last, *refs.last().unwrap());
+            proptest::prop_assert_eq!(
+                occ.completions.times().collect::<Vec<_>>(),
+                refs.iter().map(|r| r.end).collect::<Vec<_>>()
+            );
+            proptest::prop_assert_eq!(bulk.free_at(), serial.free_at());
+            proptest::prop_assert_eq!(bulk.busy_time(), serial.busy_time());
+        }
+    }
+
+    /// The generator above does cross the inline capacity: a profile with
+    /// one more run than fits inline spills and keeps every accessor.
+    #[test]
+    fn profile_spills_past_inline_capacity() {
+        let mut p = TrainProfile::empty();
+        let mut at = Time::ZERO;
+        for i in 0..=INLINE_RUNS as u64 {
+            // Alternate gaps so no two runs merge.
+            at += Time::from_ns(1 + (i % 2) * 5);
+            p = p.concat(&TrainProfile::simultaneous(2, at));
+        }
+        assert_eq!(p.runs().len(), INLINE_RUNS + 1);
+        assert!(matches!(p.store, RunStore::Spilled(_)));
+        assert_eq!(p.count(), 2 * (INLINE_RUNS as u64 + 1));
+        assert_eq!(p.delayed_by(Time::from_ns(1)).last(), at + Time::from_ns(1));
     }
 }

@@ -1,6 +1,6 @@
 //! Store-and-forward packet network simulation.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::str::FromStr;
 
@@ -9,7 +9,8 @@ use astra_des::{
 };
 use astra_network::{AsyncMessageId, Completion, LinkTrace, NetworkBackend, NetworkStats};
 use astra_topology::{
-    route_avoiding, FaultError, FaultSchedule, FaultedGraph, LinkGraph, LinkId, NpuId, Topology,
+    route_avoiding, FaultError, FaultSchedule, FaultedGraph, LinkGraph, LinkId, NpuId, RouteIndex,
+    Topology,
 };
 
 use crate::parallel::ParallelCore;
@@ -220,17 +221,21 @@ struct PacketEvent {
 }
 
 /// A whole train arriving at the head of `route[hop]`.
-#[derive(Clone, Debug)]
+///
+/// The arrival profile itself is parked in [`PacketNetwork::train_slots`]
+/// under `slot`, so queue entries stay small.
+#[derive(Copy, Clone, Debug)]
 struct TrainEvent {
     message: MessageId,
     hop: usize,
-    arrivals: TrainProfile,
+    /// Slot of the train's arrival profile, freed when the event pops.
+    slot: u32,
     /// Generation the event was scheduled under; stale events (superseded
     /// by a train split) are dropped on pop.
     gen: u32,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 enum TransportEvent {
     /// Per-packet transport: one packet finished one hop.
     Packet(PacketEvent),
@@ -255,10 +260,15 @@ struct TrainMember {
 /// fired). When a new train's arrival window overlaps the group, the link
 /// is restored to `checkpoint` and the merged per-packet FIFO sequence is
 /// replayed, reproducing per-packet transport bit-identically.
-#[derive(Clone, Debug)]
+///
+/// Each link keeps one group for the whole run and refills its buffers in
+/// place; a link without a rewindable group has `checkpoint == None` and
+/// empty buffers.
+#[derive(Clone, Debug, Default)]
 struct LinkTrainGroup {
-    /// Link timeline snapshot taken before the group's first reservation.
-    checkpoint: FifoCheckpoint,
+    /// Link timeline snapshot taken before the group's first reservation;
+    /// `None` when the link has no rewindable group.
+    checkpoint: Option<FifoCheckpoint>,
     members: Vec<TrainMember>,
     /// Scheduled downstream event time of each member (its next-hop head
     /// arrival or destination completion). The group is splittable only
@@ -299,7 +309,7 @@ pub struct PacketNetwork {
     queue: EventQueue<TransportEvent>,
     pub(crate) messages: Vec<MessageState>,
     pub(crate) routes: Vec<Vec<LinkId>>,
-    route_ids: BTreeMap<(NpuId, NpuId), usize>,
+    route_ids: RouteIndex,
     pub(crate) config: PacketSimConfig,
     pub(crate) events_processed: u64,
     pub(crate) completed: Vec<Completion>,
@@ -309,7 +319,13 @@ pub struct PacketNetwork {
     /// [`PacketNetwork::train_interleavings`].
     pub(crate) link_train_tail: Vec<Time>,
     /// Per link: the rewindable train group (batched sequential mode only).
-    link_groups: Vec<Option<LinkTrainGroup>>,
+    link_groups: Vec<LinkTrainGroup>,
+    /// Arrival profiles of the scheduled [`TransportEvent::Train`] events,
+    /// indexed by [`TrainEvent::slot`]. A slot is taken when its event is
+    /// scheduled and returned to `free_train_slots` when the event pops,
+    /// live or stale, so the slab holds one entry per queued train event.
+    train_slots: Vec<TrainProfile>,
+    free_train_slots: Vec<u32>,
     pub(crate) train_interleavings: u64,
     train_splits: u64,
     /// Domain-partitioned executor; present iff the config selects
@@ -367,12 +383,14 @@ impl PacketNetwork {
             queue: EventQueue::with_backend(config.queue_backend),
             messages: Vec::new(),
             routes: Vec::new(),
-            route_ids: BTreeMap::new(),
+            route_ids: RouteIndex::new(),
             config,
             events_processed: 0,
             completed: Vec::new(),
             link_train_tail: vec![Time::ZERO; num_links],
-            link_groups: vec![None; num_links],
+            link_groups: vec![LinkTrainGroup::default(); num_links],
+            train_slots: Vec::new(),
+            free_train_slots: Vec::new(),
             train_interleavings: 0,
             train_splits: 0,
             parallel,
@@ -436,7 +454,7 @@ impl PacketNetwork {
 
     /// Resolves (or reuses) the memoized route for a pair.
     fn route_index(&mut self, src: NpuId, dst: NpuId) -> usize {
-        if let Some(&idx) = self.route_ids.get(&(src, dst)) {
+        if let Some(idx) = self.route_ids.get(src, dst) {
             return idx;
         }
         let idx = self.routes.len();
@@ -448,7 +466,7 @@ impl PacketNetwork {
                 .expect("fault-aware route exists")
         };
         self.routes.push(route);
-        self.route_ids.insert((src, dst), idx);
+        self.route_ids.insert(src, dst, idx);
         if let Some(core) = self.parallel.as_mut() {
             core.register_route(&self.routes[idx]);
         }
@@ -575,10 +593,10 @@ impl PacketNetwork {
             // packets still arriving on the link.
             let send_merge_safe =
                 !from_send || (arrivals.first() == now && self.queue.peek_time() != Some(now));
+            let group = &self.link_groups[slot];
             let splittable = send_merge_safe
-                && self.link_groups[slot]
-                    .as_ref()
-                    .is_some_and(|g| g.downstream.iter().all(|&t| t > now));
+                && group.checkpoint.is_some()
+                && group.downstream.iter().all(|&t| t > now);
             if splittable {
                 self.train_splits += 1;
                 self.split_merge_trains(message, hop, arrivals);
@@ -622,14 +640,51 @@ impl PacketNetwork {
         self.link_train_tail[link_id.0] = self.link_train_tail[link_id.0].max(arrivals.last());
         let occupancy = self.link_queues[link_id.0].acquire_train(&arrivals, service, tail_service);
         let next = occupancy.completions.delayed_by(props.latency);
-        let downstream = if hop + 1 < hops {
+        let downstream = self.schedule_downstream(message, hop, hops, gen, next);
+        let group = &mut self.link_groups[link_id.0];
+        group.checkpoint = checkpoint;
+        group.members.clear();
+        group.downstream.clear();
+        if checkpoint.is_some() {
+            group.members.push(TrainMember {
+                message,
+                hop,
+                arrivals,
+            });
+            group.downstream.push(downstream);
+        }
+    }
+
+    /// Schedules a train's next event once it has left `route[hop]` with
+    /// `next` as its arrival profile downstream: its head at the next link,
+    /// or its tail's arrival at the destination after the last hop.
+    /// Returns the scheduled instant.
+    fn schedule_downstream(
+        &mut self,
+        message: MessageId,
+        hop: usize,
+        hops: usize,
+        gen: u32,
+        next: TrainProfile,
+    ) -> Time {
+        if hop + 1 < hops {
             let head = next.first();
+            let slot = match self.free_train_slots.pop() {
+                Some(slot) => {
+                    self.train_slots[slot as usize] = next;
+                    slot
+                }
+                None => {
+                    self.train_slots.push(next);
+                    (self.train_slots.len() - 1) as u32
+                }
+            };
             self.queue.schedule_at(
                 head,
                 TransportEvent::Train(TrainEvent {
                     message,
                     hop: hop + 1,
-                    arrivals: next,
+                    slot,
                     gen,
                 }),
             );
@@ -639,16 +694,7 @@ impl PacketNetwork {
             self.queue
                 .schedule_at(tail, TransportEvent::TrainDone(message, gen));
             tail
-        };
-        self.link_groups[link_id.0] = checkpoint.map(|checkpoint| LinkTrainGroup {
-            checkpoint,
-            members: vec![TrainMember {
-                message,
-                hop,
-                arrivals,
-            }],
-            downstream: vec![downstream],
-        });
+        }
     }
 
     /// Splits the overlapping trains on `route[hop]` at their interleave
@@ -662,8 +708,10 @@ impl PacketNetwork {
         let slot = link_id.0;
         let props = self.graph.link(link_id);
         self.link_train_tail[slot] = self.link_train_tail[slot].max(arrivals.last());
+        // The group goes back into place, buffers and all, at the end.
+        let mut group = std::mem::take(&mut self.link_groups[slot]);
         // astra-lint: allow(panic, the caller checked group eligibility)
-        let mut group = self.link_groups[slot].take().expect("splittable group");
+        let checkpoint = group.checkpoint.expect("splittable group");
         group.members.push(TrainMember {
             message,
             hop,
@@ -675,7 +723,7 @@ impl PacketNetwork {
             self.messages[member.message.0].gen =
                 self.messages[member.message.0].gen.wrapping_add(1);
         }
-        self.link_queues[slot].restore(group.checkpoint);
+        self.link_queues[slot].restore(checkpoint);
         // Merged per-packet FIFO order: sort all packet arrivals by time;
         // the stable sort keeps member (reservation) order on ties, which
         // is exactly the per-packet event tie-break (FIFO by schedule
@@ -717,27 +765,10 @@ impl PacketNetwork {
             let next = completions[m].delayed_by(props.latency);
             let gen = self.messages[member.message.0].gen;
             let hops = self.routes[self.messages[member.message.0].route].len();
-            let t = if member.hop + 1 < hops {
-                let head = next.first();
-                self.queue.schedule_at(
-                    head,
-                    TransportEvent::Train(TrainEvent {
-                        message: member.message,
-                        hop: member.hop + 1,
-                        arrivals: next,
-                        gen,
-                    }),
-                );
-                head
-            } else {
-                let tail = next.last();
-                self.queue
-                    .schedule_at(tail, TransportEvent::TrainDone(member.message, gen));
-                tail
-            };
+            let t = self.schedule_downstream(member.message, member.hop, hops, gen, next);
             group.downstream.push(t);
         }
-        self.link_groups[slot] = Some(group);
+        self.link_groups[slot] = group;
     }
 
     fn dispatch(&mut self, now: Time, event: TransportEvent) {
@@ -762,8 +793,13 @@ impl PacketNetwork {
                 }
             }
             TransportEvent::Train(train) => {
+                let arrivals = std::mem::replace(
+                    &mut self.train_slots[train.slot as usize],
+                    TrainProfile::empty(),
+                );
+                self.free_train_slots.push(train.slot);
                 if train.gen == self.messages[train.message.0].gen {
-                    self.advance_train(train.message, train.hop, train.arrivals, false);
+                    self.advance_train(train.message, train.hop, arrivals, false);
                 }
             }
             TransportEvent::TrainDone(message, gen) => {

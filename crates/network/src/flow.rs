@@ -20,7 +20,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use astra_des::{DataSize, RecordedReservation, Time};
 use astra_topology::{
-    route_avoiding, FaultError, FaultSchedule, FaultedGraph, LinkGraph, LinkId, NpuId, Topology,
+    route_avoiding, FaultError, FaultSchedule, FaultedGraph, LinkGraph, LinkId, NpuId, RouteIndex,
+    Topology,
 };
 
 use std::sync::Arc;
@@ -88,7 +89,7 @@ struct FlowState {
 pub struct FlowNetwork {
     graph: LinkGraph,
     routes: Vec<Vec<LinkId>>,
-    route_ids: BTreeMap<(NpuId, NpuId), usize>,
+    route_ids: RouteIndex,
     flows: Vec<FlowState>,
     active: Vec<usize>,
     /// Flow index → its position in `active` (valid only while active).
@@ -114,8 +115,10 @@ pub struct FlowNetwork {
     /// links with strict capacity head-room ([`SHARE_SLACK`]) cannot
     /// change anyone else's rate, so those events adjust the allocation
     /// in place instead of discarding it and the next re-share skips
-    /// progressive filling entirely (see [`FlowNetwork::active_rates`]).
+    /// progressive filling entirely (see [`FlowNetwork::take_rates`]).
     rates_cache: RefCell<Option<Vec<f64>>>,
+    /// Buffers progressive filling reuses from one re-share to the next.
+    fill: RefCell<FillScratch>,
     /// Re-share computations answered from the maintained allocation.
     reuses: Cell<u64>,
     /// Optional cross-run route table for the same topology, consulted
@@ -143,7 +146,7 @@ impl FlowNetwork {
         FlowNetwork {
             graph,
             routes: Vec::new(),
-            route_ids: BTreeMap::new(),
+            route_ids: RouteIndex::new(),
             flows: Vec::new(),
             active: Vec::new(),
             position: Vec::new(),
@@ -153,6 +156,10 @@ impl FlowNetwork {
             completed: Vec::new(),
             next_dep: Cell::new(None),
             rates_cache: RefCell::new(Some(Vec::new())),
+            fill: RefCell::new(FillScratch {
+                slot_of: vec![usize::MAX; num_links],
+                ..FillScratch::default()
+            }),
             reuses: Cell::new(0),
             shared_routes: None,
             dead_links,
@@ -224,7 +231,7 @@ impl FlowNetwork {
     }
 
     fn route_index(&mut self, src: NpuId, dst: NpuId) -> usize {
-        if let Some(&idx) = self.route_ids.get(&(src, dst)) {
+        if let Some(idx) = self.route_ids.get(src, dst) {
             return idx;
         }
         let idx = self.routes.len();
@@ -247,7 +254,7 @@ impl FlowNetwork {
             }
         };
         self.routes.push(route);
-        self.route_ids.insert((src, dst), idx);
+        self.route_ids.insert(src, dst, idx);
         idx
     }
 
@@ -318,7 +325,9 @@ impl FlowNetwork {
             None => true,
         };
         if !admitted {
-            *self.rates_cache.get_mut() = None;
+            if let Some(stale) = self.rates_cache.get_mut().take() {
+                self.fill.get_mut().rates = stale;
+            }
         }
         // Memoized membership: only this flow's own links change.
         for &l in &self.routes[route] {
@@ -379,8 +388,12 @@ impl FlowNetwork {
         self.reshares += 1;
         self.next_dep.set(None);
         // Advance to the earliest completion under current rates (or the
-        // horizon, if earlier).
-        let (rates, mut dt) = self.active_rates();
+        // horizon, if earlier). The allocation is taken out of the cache
+        // for the step and goes back at the end unless a departure
+        // invalidated it.
+        let mut rates = self.take_rates();
+        let mut rates_valid = true;
+        let mut dt = self.drain_interval(&rates);
         if let Some(h) = horizon_ps {
             dt = dt.min((h - self.now_ps) / 1e12);
         }
@@ -413,17 +426,20 @@ impl FlowNetwork {
                 // head-room was never a bottleneck, so removing the flow
                 // leaves every survivor's rate untouched. A shared link
                 // at capacity invalidates the allocation.
-                let reusable = match self.rates_cache.get_mut().as_ref() {
-                    Some(cached) => self.routes[route].iter().all(|&l| {
+                //
+                // `rates` serves both as this step's drain rates and as the
+                // maintained allocation: the loop runs `k` downwards, and a
+                // `swap_remove(k)` only moves an already-drained entry, so
+                // every entry still to be drained keeps its value.
+                let reusable = rates_valid
+                    && self.routes[route].iter().all(|&l| {
                         let members = &self.link_members[l.0];
                         members.len() == 1 || {
                             let capacity = self.graph.link(l).bandwidth.as_bytes_per_sec() as f64;
-                            let load: f64 = members.iter().map(|&m| cached[self.position[m]]).sum();
+                            let load: f64 = members.iter().map(|&m| rates[self.position[m]]).sum();
                             load < capacity * (1.0 - SHARE_SLACK)
                         }
-                    }),
-                    None => false,
-                };
+                    });
                 self.active.swap_remove(k);
                 if let Some(&moved) = self.active.get(k) {
                     self.position[moved] = k;
@@ -440,15 +456,18 @@ impl FlowNetwork {
                 // Mirror the positional `swap_remove` on the memoized
                 // allocation when the departure provably changed nobody
                 // else's rate.
-                let rates_cache = self.rates_cache.get_mut();
                 if reusable {
-                    if let Some(rates) = rates_cache.as_mut() {
-                        rates.swap_remove(k);
-                    }
+                    rates.swap_remove(k);
                 } else {
-                    *rates_cache = None;
+                    rates_valid = false;
                 }
             }
+        }
+        if rates_valid {
+            *self.rates_cache.get_mut() = Some(rates);
+        } else {
+            // Stale: keep the buffer for the next progressive filling.
+            self.fill.get_mut().rates = rates;
         }
     }
 
@@ -469,15 +488,18 @@ impl FlowNetwork {
         if self.active.is_empty() {
             return None;
         }
-        let (_, dt) = self.active_rates();
+        let rates = self.take_rates();
+        let dt = self.drain_interval(&rates);
+        *self.rates_cache.borrow_mut() = Some(rates);
         debug_assert!(dt.is_finite(), "live-locked flow set");
         Some(Time::from_ps((self.now_ps + dt * 1e12).ceil() as u64))
     }
 
-    /// Max-min rates of the active set and the earliest drain interval
-    /// (seconds) under them. Works positionally over the active set:
-    /// `rates[k]` belongs to `self.active[k]`. Shared by
-    /// [`FlowNetwork::step`] and the [`FlowNetwork::next_departure`]
+    /// Max-min rates of the active set, positionally: `rates[k]` belongs
+    /// to `self.active[k]`. The vector is moved out of
+    /// [`FlowNetwork::rates_cache`]; the caller puts it back once done (or
+    /// drops it there as stale), so no call copies the allocation. Shared
+    /// by [`FlowNetwork::step`] and the [`FlowNetwork::next_departure`]
     /// projection so the two can never disagree.
     ///
     /// Progressive filling over the memoized per-link member sets
@@ -495,18 +517,14 @@ impl FlowNetwork {
     /// capacity head-room, the allocation memoized in
     /// [`FlowNetwork::rates_cache`] is still exact and even the filling is
     /// skipped (counted by [`FlowNetwork::reshare_reuses`]).
-    fn active_rates(&self) -> (Vec<f64>, f64) {
-        let cached = self.rates_cache.borrow().clone();
+    fn take_rates(&self) -> Vec<f64> {
+        let cached = self.rates_cache.borrow_mut().take();
         let rates = match cached {
             Some(rates) => {
                 self.reuses.set(self.reuses.get() + 1);
                 rates
             }
-            None => {
-                let rates = self.fill_rates();
-                *self.rates_cache.borrow_mut() = Some(rates.clone());
-                rates
-            }
+            None => self.fill_rates(),
         };
         debug_assert_eq!(
             rates,
@@ -521,39 +539,57 @@ impl FlowNetwork {
             },
             "incremental max-min diverged from the reference"
         );
+        rates
+    }
+
+    /// The earliest drain interval (seconds) of the active set under
+    /// `rates` (positional, as [`FlowNetwork::take_rates`] returns them).
+    fn drain_interval(&self, rates: &[f64]) -> f64 {
         let mut dt = f64::INFINITY;
         for (k, &i) in self.active.iter().enumerate() {
             if rates[k] > 0.0 {
                 dt = dt.min(self.flows[i].remaining / rates[k]);
             }
         }
-        (rates, dt)
+        dt
     }
 
     /// Progressive filling over the memoized per-link member sets — the
-    /// slow path of [`FlowNetwork::active_rates`].
+    /// slow path of [`FlowNetwork::take_rates`]. Works in the buffers of
+    /// [`FlowNetwork::fill`], so a refill allocates nothing once they have
+    /// grown to the active set.
     fn fill_rates(&self) -> Vec<f64> {
-        let mut rates = vec![0.0f64; self.active.len()];
+        let mut scratch = self.fill.borrow_mut();
+        let FillScratch {
+            rates,
+            busy,
+            residual,
+            crossing,
+            slot_of,
+            frozen,
+        } = &mut *scratch;
+        let mut rates = std::mem::take(rates);
+        rates.clear();
+        rates.resize(self.active.len(), 0.0);
         // Busy links in ascending id order — the reference's visit order.
-        let busy: Vec<usize> = (0..self.graph.num_links())
-            .filter(|&l| !self.link_members[l].is_empty())
-            .collect();
-        let mut residual: Vec<(usize, f64)> = busy
-            .iter()
-            .map(|&l| {
-                (
-                    l,
-                    self.graph.link(LinkId(l)).bandwidth.as_bytes_per_sec() as f64,
-                )
-            })
-            .collect();
-        let mut crossing: Vec<usize> = busy.iter().map(|&l| self.link_members[l].len()).collect();
-        // Scratch lookup: busy-link id -> slot in the vectors above.
-        let mut slot_of = vec![usize::MAX; self.graph.num_links()];
+        busy.clear();
+        busy.extend((0..self.graph.num_links()).filter(|&l| !self.link_members[l].is_empty()));
+        residual.clear();
+        residual.extend(busy.iter().map(|&l| {
+            (
+                l,
+                self.graph.link(LinkId(l)).bandwidth.as_bytes_per_sec() as f64,
+            )
+        }));
+        crossing.clear();
+        crossing.extend(busy.iter().map(|&l| self.link_members[l].len()));
+        // Scratch lookup: busy-link id -> slot in the vectors above. Only
+        // busy links' entries are set, and they are reset before returning.
         for (slot, &l) in busy.iter().enumerate() {
             slot_of[l] = slot;
         }
-        let mut frozen = vec![false; self.active.len()];
+        frozen.clear();
+        frozen.resize(self.active.len(), false);
         let mut unfrozen = self.active.len();
         while unfrozen > 0 {
             let mut bottleneck: Option<(f64, usize)> = None;
@@ -586,8 +622,30 @@ impl FlowNetwork {
                 }
             }
         }
+        for &l in busy.iter() {
+            slot_of[l] = usize::MAX;
+        }
         rates
     }
+}
+
+/// Scratch buffers of [`FlowNetwork::fill_rates`], kept across re-shares.
+#[derive(Debug, Default)]
+struct FillScratch {
+    /// A spare allocation for the next computed rate vector (the last
+    /// invalidated one).
+    rates: Vec<f64>,
+    /// Links with at least one active flow, ascending.
+    busy: Vec<usize>,
+    /// Per busy link: `(link id, residual capacity)`.
+    residual: Vec<(usize, f64)>,
+    /// Per busy link: unfrozen flows still crossing it.
+    crossing: Vec<usize>,
+    /// Per link (all of them): its slot among the busy links, or
+    /// `usize::MAX`.
+    slot_of: Vec<usize>,
+    /// Per active position: whether the flow's rate is fixed.
+    frozen: Vec<bool>,
 }
 
 impl NetworkBackend for FlowNetwork {

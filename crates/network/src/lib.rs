@@ -147,6 +147,13 @@ pub trait NetworkBackend {
     /// The completion surfaces later through
     /// [`NetworkBackend::drain_completions`] (immediately for closed-form
     /// backends and for self/empty messages).
+    ///
+    /// Id contract: a fresh backend's first id is `0`, and every later
+    /// call returns the previous call's id plus one, unless a
+    /// [`NetworkBackend::p2p_delay`] probe on the same instance took ids in
+    /// between. The engine's in-flight table, a window over consecutive
+    /// ids, relies on this (and debug-asserts it); every backend in the
+    /// workspace numbers messages with one counter for both entry points.
     fn send_async(&mut self, at: Time, src: NpuId, dst: NpuId, size: DataSize) -> AsyncMessageId;
 
     /// Earliest instant a new [`NetworkBackend::send_async`] may enter the

@@ -479,6 +479,56 @@ struct RunningCollective {
     trace_id: u64,
 }
 
+/// Async messages in flight on the co-resident backend, keyed by the
+/// [`AsyncMessageId`] the backend returned for them.
+///
+/// Backends hand out consecutive ids (the contract of
+/// [`NetworkBackend::send_async`]), so the table is a window over the id
+/// range, from the oldest message still in flight to the newest one:
+/// insertion appends, removal clears a slot and trims finished slots off
+/// the front. Both are O(1) and allocation-free once the window has
+/// grown to the run's peak concurrency.
+#[derive(Default)]
+struct InFlightTable {
+    /// The id the backend is expected to hand out next; `slots` ends
+    /// just before it.
+    next: u64,
+    /// One entry per id of the window; `None` once completed. The front
+    /// entry is always `Some`.
+    slots: VecDeque<Option<Outbound>>,
+}
+
+impl InFlightTable {
+    fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    fn insert(&mut self, id: AsyncMessageId, msg: Outbound) -> Result<(), SimError> {
+        debug_assert_eq!(
+            id.0, self.next,
+            "backend async message ids must be consecutive"
+        );
+        if id.0 != self.next {
+            return Err(SimError::Internal(
+                "backend async message ids are not consecutive",
+            ));
+        }
+        self.slots.push_back(Some(msg));
+        self.next += 1;
+        Ok(())
+    }
+
+    fn remove(&mut self, id: AsyncMessageId) -> Option<Outbound> {
+        let base = self.next - self.slots.len() as u64;
+        let offset = usize::try_from(id.0.checked_sub(base)?).ok()?;
+        let msg = self.slots.get_mut(offset)?.take()?;
+        while self.slots.front().is_some_and(Option::is_none) {
+            self.slots.pop_front();
+        }
+        Some(msg)
+    }
+}
+
 struct GroupSpan {
     rep: NpuId,
     /// Per spanned dimension: the global dimension index, the effective
@@ -801,7 +851,8 @@ struct Engine<'a> {
     /// of the group's collectives that member has issued so far.
     group_counters: Vec<Vec<u64>>,
     p2p_pending: BTreeMap<(NpuId, NpuId, u64), P2pPending>,
-    in_flight: BTreeMap<AsyncMessageId, Outbound>,
+    /// Messages (p2p and chunk ops) awaiting their completion callback.
+    in_flight: InFlightTable,
     /// Per source (async path; the blocking path models the same NIC lane
     /// with `p2p_res`): whether an injected message's completion is still
     /// undiscovered, when the lane is known to free, and the messages
@@ -812,10 +863,14 @@ struct Engine<'a> {
     nic_queue: Vec<VecDeque<Outbound>>,
     completions: Vec<Completion>,
 
-    /// Backend-executed collectives in flight (`CollectiveMode::Backend`),
-    /// keyed by instance id.
-    running_collectives: BTreeMap<u32, RunningCollective>,
-    next_collective: u32,
+    /// Backend-executed collectives (`CollectiveMode::Backend`): a slab
+    /// indexed by the slot id that chunk ops and `ChunkReady` events carry.
+    /// A drained collective's slot goes onto `free_collectives` and is
+    /// reused by the next launch, so the slab holds as many slots as
+    /// collectives ever ran at once. Slot ids are internal: telemetry keys
+    /// instances by their `trace_id`.
+    running_collectives: Vec<Option<RunningCollective>>,
+    free_collectives: Vec<u32>,
     /// Lowered programs memoized per `(group, collective, size)` — a
     /// training loop re-issues the same collective every iteration/layer,
     /// so lowering runs once per distinct shape.
@@ -919,13 +974,13 @@ impl<'a> Engine<'a> {
             meetings: BTreeMap::new(),
             group_counters: trace.groups().iter().map(|g| vec![0; g.len()]).collect(),
             p2p_pending: BTreeMap::new(),
-            in_flight: BTreeMap::new(),
+            in_flight: InFlightTable::default(),
             nic_occupied: vec![false; npus],
             nic_free: vec![Time::ZERO; npus],
             nic_queue: (0..npus).map(|_| VecDeque::new()).collect(),
             completions: Vec::new(),
-            running_collectives: BTreeMap::new(),
-            next_collective: 0,
+            running_collectives: Vec::new(),
+            free_collectives: Vec::new(),
             program_memo: BTreeMap::new(),
             lowering_hits: 0,
             lowering_misses: 0,
@@ -1141,10 +1196,10 @@ impl<'a> Engine<'a> {
                             "InjectP2p event fired with an empty NIC queue",
                         ));
                     };
-                    self.inject_p2p(msg, now);
+                    self.inject_p2p(msg, now)?;
                 }
                 EngineEvent::ChunkReady { coll, op } => {
-                    self.enqueue_chunk_op(coll, op, now);
+                    self.enqueue_chunk_op(coll, op, now)?;
                 }
             }
             self.drain_network()?;
@@ -1180,7 +1235,7 @@ impl<'a> Engine<'a> {
             network.merge(&net.stats());
         }
         debug_assert!(
-            self.running_collectives.is_empty(),
+            self.running_collectives.iter().all(Option::is_none),
             "backend-executed collectives left unfinished"
         );
         Ok(SimReport {
@@ -1315,7 +1370,7 @@ impl<'a> Engine<'a> {
             && !span.dims.is_empty()
             && size != DataSize::ZERO
         {
-            self.launch_backend_collective(
+            return self.launch_backend_collective(
                 group,
                 collective,
                 size,
@@ -1323,7 +1378,6 @@ impl<'a> Engine<'a> {
                 meeting.arrivals,
                 trace_id,
             );
-            return Ok(());
         }
         let finish = if span.dims.is_empty() {
             // Single-member group: nothing to communicate.
@@ -1397,7 +1451,7 @@ impl<'a> Engine<'a> {
         start: Time,
         arrivals: Vec<(NpuId, u32, Time)>,
         trace_id: u64,
-    ) {
+    ) -> Result<(), SimError> {
         let endpoints: Vec<(NpuId, NpuId)> = self.spans[group as usize]
             .dims
             .iter()
@@ -1447,48 +1501,52 @@ impl<'a> Engine<'a> {
                 entry
             }
         };
-        let id = self.next_collective;
-        self.next_collective += 1;
-        let remaining_deps: Vec<u32> = program
-            .ops()
-            .iter()
-            .map(|op| op.deps.len() as u32)
-            .collect();
-        let total = program.ops().len();
-        let roots: Vec<u32> = program
-            .ops()
-            .iter()
-            .enumerate()
-            .filter(|(_, op)| op.deps.is_empty())
-            .map(|(idx, _)| idx as u32)
-            .collect();
-        self.running_collectives.insert(
-            id,
-            RunningCollective {
-                arrivals,
-                program,
-                dependents,
-                remaining_deps,
-                ready: vec![start; total],
-                remaining_ops: total,
-                endpoints,
-                finish: start,
-                group,
-                start,
-                trace_id,
-            },
-        );
+        let ops = program.ops();
+        let running = RunningCollective {
+            arrivals,
+            program: Arc::clone(&program),
+            dependents,
+            remaining_deps: ops.iter().map(|op| op.deps.len() as u32).collect(),
+            ready: vec![start; ops.len()],
+            remaining_ops: ops.len(),
+            endpoints,
+            finish: start,
+            group,
+            start,
+            trace_id,
+        };
+        let slot = match self.free_collectives.pop() {
+            Some(slot) => {
+                self.running_collectives[slot as usize] = Some(running);
+                slot
+            }
+            None => {
+                self.running_collectives.push(Some(running));
+                (self.running_collectives.len() - 1) as u32
+            }
+        };
         // The meeting completes at the engine's current instant, so root
         // ops are ready right now.
-        for op in roots {
-            self.enqueue_chunk_op(id, op, start);
+        for (op, meta) in ops.iter().enumerate() {
+            if meta.deps.is_empty() {
+                self.enqueue_chunk_op(slot, op as u32, start)?;
+            }
         }
+        Ok(())
     }
 
     /// Binds a ready chunk op to its wire endpoints and hands it to the
     /// source's NIC lane.
-    fn enqueue_chunk_op(&mut self, coll: u32, op: u32, ready: Time) {
-        let rc = &self.running_collectives[&coll];
+    fn enqueue_chunk_op(&mut self, coll: u32, op: u32, ready: Time) -> Result<(), SimError> {
+        let Some(rc) = self
+            .running_collectives
+            .get(coll as usize)
+            .and_then(Option::as_ref)
+        else {
+            return Err(SimError::Internal(
+                "running collective vanished while its ops were pending",
+            ));
+        };
         let meta = &rc.program.ops()[op as usize];
         let (src, dst) = rc.endpoints[meta.dim];
         let size = meta.size;
@@ -1500,7 +1558,7 @@ impl<'a> Engine<'a> {
             dst,
             size,
             ready,
-        }));
+        }))
     }
 
     /// Hands a resolved message to its source's NIC lane: inject now if
@@ -1515,21 +1573,22 @@ impl<'a> Engine<'a> {
     /// instant. Handing the backend a future send would violate the
     /// shared-clock invariant (the fluid backend would advance its clock
     /// past other arrivals still queued in the engine).
-    fn enqueue_outbound(&mut self, msg: Outbound) {
+    fn enqueue_outbound(&mut self, msg: Outbound) -> Result<(), SimError> {
         let src = msg.src();
         let ready = msg.ready();
         if self.nic_occupied[src] || !self.nic_queue[src].is_empty() {
             // An InjectP2p follow-up is (or will be) scheduled by the
             // occupying message's completion.
             self.nic_queue[src].push_back(msg);
-            return;
+            return Ok(());
         }
         let at = ready.max(self.nic_free[src]);
         if at > self.queue.now() {
             self.nic_queue[src].push_back(msg);
             self.queue.schedule_at(at, EngineEvent::InjectP2p(src));
+            Ok(())
         } else {
-            self.inject_p2p(msg, at);
+            self.inject_p2p(msg, at)
         }
     }
 
@@ -1569,7 +1628,7 @@ impl<'a> Engine<'a> {
                     recv_node,
                     send_ready,
                     recv_ready,
-                }));
+                }))?;
             }
             P2pMode::Blocking => self.blocking_p2p(
                 src,
@@ -1628,7 +1687,7 @@ impl<'a> Engine<'a> {
     /// Hands a resolved message to the async backend at `at` (never ahead
     /// of the engine clock — see [`Engine::enqueue_outbound`]), occupying
     /// the source's NIC lane.
-    fn inject_p2p(&mut self, msg: Outbound, at: Time) {
+    fn inject_p2p(&mut self, msg: Outbound, at: Time) -> Result<(), SimError> {
         let src = msg.src();
         debug_assert!(at >= msg.ready(), "message injected before it is ready");
         let (dst, size) = msg.dst_size();
@@ -1639,7 +1698,7 @@ impl<'a> Engine<'a> {
         // re-open that history, so the send clamps to its clock floor.
         let at = at.max(net.earliest_send_time());
         let id = net.send_async(at, src, dst, size);
-        self.in_flight.insert(id, msg);
+        self.in_flight.insert(id, msg)
     }
 
     /// Collects completion callbacks from the async backend and applies
@@ -1666,7 +1725,7 @@ impl<'a> Engine<'a> {
     /// send/recv graph nodes for p2p traffic, the dependent chunk ops (and
     /// eventually the meeting) for a backend-executed collective.
     fn finish_p2p(&mut self, c: Completion) -> Result<(), SimError> {
-        let Some(msg) = self.in_flight.remove(&c.id) else {
+        let Some(msg) = self.in_flight.remove(c.id) else {
             return Err(SimError::Internal(
                 "completion does not match an in-flight message",
             ));
@@ -1718,7 +1777,12 @@ impl<'a> Engine<'a> {
     /// dependents `extra_latency` after it, and — once the program drains
     /// — resumes the meeting's graph nodes at the collective's finish.
     fn finish_chunk_op(&mut self, chunk: ChunkSend, wire_finish: Time) -> Result<(), SimError> {
-        let Some(rc) = self.running_collectives.get_mut(&chunk.coll) else {
+        let coll = chunk.coll;
+        let Some(rc) = self
+            .running_collectives
+            .get_mut(coll as usize)
+            .and_then(Option::as_mut)
+        else {
             return Err(SimError::Internal(
                 "chunk op does not belong to a running collective",
             ));
@@ -1729,7 +1793,6 @@ impl<'a> Engine<'a> {
         rc.finish = rc.finish.max(done);
         rc.remaining_ops -= 1;
         let finished = rc.remaining_ops == 0;
-        let coll = chunk.coll;
         let trace_id = rc.trace_id;
         if let Some(sink) = &mut self.sink {
             sink.chunk_ops.push(ChunkOpSpan {
@@ -1747,19 +1810,20 @@ impl<'a> Engine<'a> {
         // backends report `done` far ahead of the engine clock, and an op
         // queued before its ready instant could block its lane's FIFO head
         // while later-queued ops are already ready.
-        for &d in &Arc::clone(&rc.dependents)[chunk.op as usize] {
-            let Some(rc) = self.running_collectives.get_mut(&coll) else {
-                return Err(SimError::Internal(
-                    "running collective vanished while its ops were pending",
-                ));
-            };
-            rc.ready[d as usize] = rc.ready[d as usize].max(done);
-            let slot = &mut rc.remaining_deps[d as usize];
+        let RunningCollective {
+            dependents,
+            ready,
+            remaining_deps,
+            ..
+        } = rc;
+        for &d in &dependents[chunk.op as usize] {
+            let d_ready = &mut ready[d as usize];
+            *d_ready = (*d_ready).max(done);
+            let slot = &mut remaining_deps[d as usize];
             *slot -= 1;
             if *slot == 0 {
-                let at = rc.ready[d as usize];
                 self.queue
-                    .schedule_at(at, EngineEvent::ChunkReady { coll, op: d });
+                    .schedule_at(*d_ready, EngineEvent::ChunkReady { coll, op: d });
             }
             if let Some(sink) = &mut self.sink {
                 sink.dep_edges.push(DepEdge {
@@ -1772,11 +1836,12 @@ impl<'a> Engine<'a> {
         }
         self.release_nic(chunk.src, lane_free);
         if finished {
-            let Some(rc) = self.running_collectives.remove(&chunk.coll) else {
+            let Some(rc) = self.running_collectives[coll as usize].take() else {
                 return Err(SimError::Internal(
                     "drained collective was already removed before its last op",
                 ));
             };
+            self.free_collectives.push(coll);
             if let Some(sink) = &mut self.sink {
                 sink.collectives.push(CollectiveSpan {
                     id: rc.trace_id,

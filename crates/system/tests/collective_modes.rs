@@ -525,3 +525,149 @@ fn golden_backend_collective_pins() {
         }
     }
 }
+
+/// A small multi-group trace whose backend-executed collectives overlap,
+/// on `R(4)@100_SW(4)@50` (16 NPUs: rows of four on a ring, columns of
+/// four on a switch). Every NPU issues, with no dependency between them,
+/// an All-Reduce on its ring and one on its switch column; NPUs in rows 0
+/// and 2 also issue one on their two-member column pair `{c, c + 8}`. The
+/// column and the pair collective both bind a sender in the column to the
+/// column's row-0 NPU, so their trains meet on that NPU's switch
+/// down-link. A world All-Gather follows the ring All-Reduce, and a ring
+/// Reduce-Scatter follows the column All-Reduce, so later collectives
+/// launch into the slots of drained ones.
+fn overlapping_groups_trace() -> ExecutionTrace {
+    let mut b = TraceBuilder::new(16);
+    let rings: Vec<_> = (0..4)
+        .map(|r| b.add_group((4 * r..4 * r + 4).collect()))
+        .collect();
+    let columns: Vec<_> = (0..4)
+        .map(|c| b.add_group((0..4).map(|r| 4 * r + c).collect()))
+        .collect();
+    let pairs: Vec<_> = (0..4).map(|c| b.add_group(vec![c, c + 8])).collect();
+    let world = b.add_group((0..16).collect());
+    let collective = |collective, mib, group| EtOp::Collective {
+        collective,
+        size: DataSize::from_mib(mib),
+        group,
+    };
+    for npu in 0..16 {
+        let (row, column) = (npu / 4, npu % 4);
+        let ring_ar = b.node(
+            npu,
+            "ring-ar",
+            collective(Collective::AllReduce, 6, rings[row]),
+            &[],
+        );
+        let column_ar = b.node(
+            npu,
+            "column-ar",
+            collective(Collective::AllReduce, 4, columns[column]),
+            &[],
+        );
+        if row % 2 == 0 {
+            b.node(
+                npu,
+                "pair-ar",
+                collective(Collective::AllReduce, 5, pairs[column]),
+                &[],
+            );
+        }
+        b.node(
+            npu,
+            "world-ag",
+            collective(Collective::AllGather, 2, world),
+            &[ring_ar],
+        );
+        b.node(
+            npu,
+            "ring-rs",
+            collective(Collective::ReduceScatter, 3, rings[row]),
+            &[column_ar],
+        );
+    }
+    b.build().expect("overlapping-groups trace is valid")
+}
+
+/// Golden pins for concurrent backend-executed collectives: the
+/// overlapping multi-group trace above on the batched, per-packet and
+/// fluid backends under both event-queue backends. Unlike the single
+/// world All-Reduce of `golden_backend_collective_pins`, this run keeps
+/// several collectives in flight at once, launches collectives after
+/// earlier ones drained, and makes the batched transport split
+/// overlapping trains, so it pins the engine's in-flight bookkeeping and
+/// the transport's train re-planning as well as the chunk schedule.
+#[test]
+fn golden_overlapping_backend_collective_pins() {
+    let topo = Topology::parse("R(4)@100_SW(4)@50").unwrap();
+    let trace = overlapping_groups_trace();
+    // (backend, total, finish of row 0, finish of rows 1-3, backend
+    // events, train splits). Row 0 holds the world All-Gather's
+    // representative endpoints, so it finishes last. The per-packet and
+    // batched transports agree to the picosecond; only their event counts
+    // differ.
+    let expected = [
+        (
+            NetworkBackendKind::Batched,
+            414_182_080,
+            396_108_800,
+            210,
+            22,
+        ),
+        (
+            NetworkBackendKind::Packet,
+            414_182_080,
+            396_108_800,
+            2168,
+            0,
+        ),
+        (NetworkBackendKind::Flow, 389_696_320, 375_744_480, 61, 0),
+    ];
+    for (backend, row0, others, events, splits) in expected {
+        let want_finish: Vec<Time> = (0..16)
+            .map(|npu| Time::from_ps(if npu < 4 { row0 } else { others }))
+            .collect();
+        for queue in [QueueBackend::BinaryHeap, QueueBackend::Calendar] {
+            let config = SystemConfig {
+                network_backend: backend,
+                collective_mode: CollectiveMode::Backend,
+                collective_chunks: 4,
+                queue_backend: queue,
+                telemetry: true,
+                ..SystemConfig::default()
+            };
+            let (report, sim_trace) = astra_system::simulate_traced(&trace, &topo, &config);
+            let report = report.expect("valid simulation");
+            let spans = sim_trace.expect("telemetry is on").collectives;
+            let overlapping = spans.iter().enumerate().any(|(i, a)| {
+                spans[i + 1..]
+                    .iter()
+                    .any(|b| a.start < b.finish && b.start < a.finish)
+            });
+            assert!(overlapping, "{backend}/{queue:?}: no collectives overlap");
+            if backend == NetworkBackendKind::Batched {
+                assert!(
+                    report.network.train_splits > 0,
+                    "{backend}/{queue:?}: no train was split"
+                );
+            }
+            assert_eq!(
+                report.total_time,
+                Time::from_ps(row0),
+                "{backend}/{queue:?}: total time drifted"
+            );
+            assert_eq!(
+                report.per_npu_finish, want_finish,
+                "{backend}/{queue:?}: per-NPU finish drifted"
+            );
+            assert_eq!(
+                report.network.events, events,
+                "{backend}/{queue:?}: backend event count drifted"
+            );
+            assert_eq!(
+                report.network.train_splits, splits,
+                "{backend}/{queue:?}: train split count drifted"
+            );
+        }
+    }
+}

@@ -1,20 +1,24 @@
 //! Trace serializers.
 //!
-//! Both writers build their output with plain string formatting over
+//! Both writers format every record straight into the output string over
 //! integer picosecond values — no floating point and no map iteration —
 //! so equal traces always serialize to identical bytes.
 
-use std::fmt::Write;
+use std::fmt::{self, Write};
 
 use astra_des::Time;
 
 use crate::{ChunkOpSpan, SimTrace, NPU_CATEGORIES};
 
-/// Chrome trace-event timestamps are microseconds; render the exact
+/// Chrome trace-event timestamps are microseconds; this renders the exact
 /// picosecond value as a fixed-point decimal (no f64 rounding).
-fn ts_us(t: Time) -> String {
-    let ps = t.as_ps();
-    format!("{}.{:06}", ps / 1_000_000, ps % 1_000_000)
+struct Us(Time);
+
+impl fmt::Display for Us {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ps = self.0.as_ps();
+        write!(f, "{}.{:06}", ps / 1_000_000, ps % 1_000_000)
+    }
 }
 
 /// Escapes a label for embedding in a JSON string literal.
@@ -39,6 +43,29 @@ const PID_LINKS: u32 = 1;
 const PID_COLLECTIVES: u32 = 2;
 const PID_CHUNK_OPS: u32 = 3;
 
+/// Bytes reserved per Chrome event: above the typical record (about 70
+/// to 135 bytes, longest for chunk-op slices).
+const CHROME_EVENT_BYTES: usize = 128;
+
+/// An upper bound on the number of Chrome events [`chrome_trace`] writes
+/// for `trace`: a link reservation yields one busy slice and at most two
+/// queue-depth steps, a dependency edge one arrow start and one end.
+fn chrome_event_bound(trace: &SimTrace) -> usize {
+    let spans: usize = trace
+        .npu_timelines
+        .iter()
+        .flat_map(|tl| tl.spans.iter())
+        .map(Vec::len)
+        .sum();
+    let reservations: usize = trace.links.iter().map(|l| l.reservations.len()).sum();
+    4 + spans
+        + 3 * reservations
+        + trace.collectives.len()
+        + trace.chunk_ops.len()
+        + 2 * trace.dep_edges.len()
+        + trace.markers.len()
+}
+
 /// Renders a [`SimTrace`] as Chrome trace-event JSON, viewable in
 /// `chrome://tracing` or <https://ui.perfetto.dev>. The trace must be
 /// canonical ([`SimTrace::canonicalize`]); the engine always hands out
@@ -51,15 +78,19 @@ const PID_CHUNK_OPS: u32 = 3;
 /// slices and dependency flow arrows; fault/budget markers are global
 /// instants.
 pub fn chrome_trace(trace: &SimTrace) -> String {
-    let mut out = String::new();
+    // Reserve the whole output up front: growing a trace of tens of MB by
+    // doubling copies it several times and can leave the old buffers
+    // resident. The estimate over-reserves by design; untouched capacity
+    // costs address space, not memory.
+    let mut out = String::with_capacity(chrome_event_bound(trace) * CHROME_EVENT_BYTES);
     out.push_str("{\"traceEvents\":[\n");
     let mut first = true;
-    let mut push = |out: &mut String, event: String| {
+    let mut push = |out: &mut String, event: fmt::Arguments<'_>| {
         if !first {
             out.push_str(",\n");
         }
         first = false;
-        out.push_str(&event);
+        let _ = out.write_fmt(event);
     };
 
     for (pid, name) in [
@@ -70,7 +101,7 @@ pub fn chrome_trace(trace: &SimTrace) -> String {
     ] {
         push(
             &mut out,
-            format!(
+            format_args!(
                 "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
                  \"args\":{{\"name\":\"{name}\"}}}}"
             ),
@@ -82,11 +113,11 @@ pub fn chrome_trace(trace: &SimTrace) -> String {
             for &(s, e) in spans {
                 push(
                     &mut out,
-                    format!(
+                    format_args!(
                         "{{\"name\":\"{cat}\",\"cat\":\"npu\",\"ph\":\"X\",\
                          \"pid\":{PID_NPUS},\"tid\":{npu},\"ts\":{},\"dur\":{}}}",
-                        ts_us(s),
-                        ts_us(e - s),
+                        Us(s),
+                        Us(e - s),
                     ),
                 );
             }
@@ -98,12 +129,12 @@ pub fn chrome_trace(trace: &SimTrace) -> String {
         for r in &link.reservations {
             push(
                 &mut out,
-                format!(
+                format_args!(
                     "{{\"name\":\"busy\",\"cat\":\"link\",\"ph\":\"X\",\
                      \"pid\":{PID_LINKS},\"tid\":{tid},\"ts\":{},\"dur\":{},\
                      \"args\":{{\"ready\":{}}}}}",
-                    ts_us(r.start),
-                    ts_us(r.end - r.start),
+                    Us(r.start),
+                    Us(r.end - r.start),
                     r.ready.as_ps(),
                 ),
             );
@@ -111,11 +142,11 @@ pub fn chrome_trace(trace: &SimTrace) -> String {
         for (t, depth) in SimTrace::queue_depth_steps(link) {
             push(
                 &mut out,
-                format!(
+                format_args!(
                     "{{\"name\":\"queue:link{tid}\",\"cat\":\"link\",\"ph\":\"C\",\
                      \"pid\":{PID_LINKS},\"tid\":{tid},\"ts\":{},\
                      \"args\":{{\"depth\":{depth}}}}}",
-                    ts_us(t),
+                    Us(t),
                 ),
             );
         }
@@ -124,13 +155,13 @@ pub fn chrome_trace(trace: &SimTrace) -> String {
     for c in &trace.collectives {
         push(
             &mut out,
-            format!(
+            format_args!(
                 "{{\"name\":\"collective{}\",\"cat\":\"collective\",\"ph\":\"X\",\
                  \"pid\":{PID_COLLECTIVES},\"tid\":{},\"ts\":{},\"dur\":{}}}",
                 c.id,
                 c.group,
-                ts_us(c.start),
-                ts_us(c.finish - c.start),
+                Us(c.start),
+                Us(c.finish - c.start),
             ),
         );
     }
@@ -138,15 +169,15 @@ pub fn chrome_trace(trace: &SimTrace) -> String {
     for op in &trace.chunk_ops {
         push(
             &mut out,
-            format!(
+            format_args!(
                 "{{\"name\":\"c{}.op{}\",\"cat\":\"chunk\",\"ph\":\"X\",\
                  \"pid\":{PID_CHUNK_OPS},\"tid\":{},\"ts\":{},\"dur\":{},\
                  \"args\":{{\"dst\":{},\"size_bytes\":{}}}}}",
                 op.coll,
                 op.op,
                 op.src,
-                ts_us(op.ready),
-                ts_us(op.finish - op.ready),
+                Us(op.ready),
+                Us(op.finish - op.ready),
                 op.dst,
                 op.size.as_bytes(),
             ),
@@ -169,20 +200,20 @@ pub fn chrome_trace(trace: &SimTrace) -> String {
         };
         push(
             &mut out,
-            format!(
+            format_args!(
                 "{{\"name\":\"dep\",\"cat\":\"dep\",\"ph\":\"s\",\
                  \"pid\":{PID_CHUNK_OPS},\"tid\":{},\"ts\":{},\"id\":{idx}}}",
                 from.src,
-                ts_us(e.at),
+                Us(e.at),
             ),
         );
         push(
             &mut out,
-            format!(
+            format_args!(
                 "{{\"name\":\"dep\",\"cat\":\"dep\",\"ph\":\"f\",\"bp\":\"e\",\
                  \"pid\":{PID_CHUNK_OPS},\"tid\":{},\"ts\":{},\"id\":{idx}}}",
                 to.src,
-                ts_us(to.ready.max(e.at)),
+                Us(to.ready.max(e.at)),
             ),
         );
     }
@@ -190,15 +221,14 @@ pub fn chrome_trace(trace: &SimTrace) -> String {
     for m in &trace.markers {
         push(
             &mut out,
-            format!(
+            format_args!(
                 "{{\"name\":\"{}\",\"cat\":\"marker\",\"ph\":\"i\",\"s\":\"g\",\
                  \"pid\":{PID_NPUS},\"tid\":0,\"ts\":{}}}",
                 escape(&m.label),
-                ts_us(m.at),
+                Us(m.at),
             ),
         );
     }
-
     let _ = write!(
         out,
         "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"npus\":{},\"horizon_ps\":{}}}}}\n",

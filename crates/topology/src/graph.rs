@@ -322,6 +322,59 @@ fn dim_groups(topo: &Topology, dim: usize) -> Vec<Vec<NpuId>> {
     groups
 }
 
+/// A backend's memo from `(src, dst)` to the index of its resolved route.
+///
+/// Backends look a route up once per message, so the memo is a flat row of
+/// `(dst, index)` pairs per source, sorted by destination. A source reaches
+/// a handful of destinations in collective traffic, which makes a lookup a
+/// short binary search over contiguous memory rather than a walk down an
+/// ordered map.
+#[derive(Clone, Debug, Default)]
+pub struct RouteIndex {
+    by_src: Vec<Vec<(NpuId, usize)>>,
+    len: usize,
+}
+
+impl RouteIndex {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The route index memoized for `(src, dst)`, if any.
+    pub fn get(&self, src: NpuId, dst: NpuId) -> Option<usize> {
+        let row = self.by_src.get(src)?;
+        row.binary_search_by_key(&dst, |&(d, _)| d)
+            .ok()
+            .map(|at| row[at].1)
+    }
+
+    /// Memoizes `index` for `(src, dst)`, replacing any earlier entry.
+    pub fn insert(&mut self, src: NpuId, dst: NpuId, index: usize) {
+        if self.by_src.len() <= src {
+            self.by_src.resize_with(src + 1, Vec::new);
+        }
+        let row = &mut self.by_src[src];
+        match row.binary_search_by_key(&dst, |&(d, _)| d) {
+            Ok(at) => row[at].1 = index,
+            Err(at) => {
+                row.insert(at, (dst, index));
+                self.len += 1;
+            }
+        }
+    }
+
+    /// Distinct `(src, dst)` pairs memoized.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no pair is memoized yet.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,5 +466,21 @@ mod tests {
         let g = LinkGraph::new(&topo);
         let (_, props) = g.links().next().unwrap();
         assert_eq!(props.bandwidth.as_gbps_f64(), 100.0); // 200 split over 2 ring directions
+    }
+
+    #[test]
+    fn route_index_memoizes_pairs() {
+        let mut idx = RouteIndex::new();
+        assert!(idx.is_empty());
+        idx.insert(3, 7, 0);
+        idx.insert(3, 1, 1);
+        idx.insert(0, 7, 2);
+        idx.insert(3, 7, 4);
+        assert_eq!(idx.len(), 3);
+        assert_eq!(idx.get(3, 7), Some(4));
+        assert_eq!(idx.get(3, 1), Some(1));
+        assert_eq!(idx.get(0, 7), Some(2));
+        assert_eq!(idx.get(0, 1), None);
+        assert_eq!(idx.get(9, 1), None);
     }
 }

@@ -43,6 +43,6 @@ pub use dimension::Dimension;
 pub use faults::{
     route_avoiding, DimDegrade, FaultError, FaultEvent, FaultKind, FaultSchedule, FaultedGraph,
 };
-pub use graph::{LinkGraph, LinkId, LinkProps, NodeId, NodeKind};
+pub use graph::{LinkGraph, LinkId, LinkProps, NodeId, NodeKind, RouteIndex};
 pub use notation::ParseTopologyError;
 pub use topo::{NpuId, Topology};
