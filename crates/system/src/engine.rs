@@ -484,10 +484,20 @@ struct RunningCollective {
 ///
 /// Backends hand out consecutive ids (the contract of
 /// [`NetworkBackend::send_async`]), so the table is a window over the id
-/// range, from the oldest message still in flight to the newest one:
+/// range, from the oldest message it still holds to the newest one:
 /// insertion appends, removal clears a slot and trims finished slots off
 /// the front. Both are O(1) and allocation-free once the window has
-/// grown to the run's peak concurrency.
+/// grown.
+///
+/// The window keeps one slot per id of that range, not one per live
+/// message, so a single long message would make it span every message
+/// issued while it is in flight. Once the window is both longer than
+/// [`InFlightTable::MIN_SPAN`] and more than [`InFlightTable::MAX_SPARSITY`]
+/// times the live messages in it, its front message moves to
+/// `stragglers`, an ordered map that holds live messages only. Memory
+/// therefore stays proportional to the messages in flight. Backend
+/// collectives on the benchmark requests keep the window under 200 slots,
+/// so the map stays empty there.
 #[derive(Default)]
 struct InFlightTable {
     /// The id the backend is expected to hand out next; `slots` ends
@@ -496,11 +506,21 @@ struct InFlightTable {
     /// One entry per id of the window; `None` once completed. The front
     /// entry is always `Some`.
     slots: VecDeque<Option<Outbound>>,
+    /// The `Some` entries of `slots`.
+    live: usize,
+    /// In-flight messages older than the window.
+    stragglers: BTreeMap<u64, Outbound>,
 }
 
 impl InFlightTable {
+    /// Window length below which no message is moved to `stragglers`.
+    const MIN_SPAN: usize = 1024;
+    /// Largest ratio of window slots to live messages in it past
+    /// `MIN_SPAN`.
+    const MAX_SPARSITY: usize = 4;
+
     fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.slots.is_empty() && self.stragglers.is_empty()
     }
 
     fn insert(&mut self, id: AsyncMessageId, msg: Outbound) -> Result<(), SimError> {
@@ -515,17 +535,34 @@ impl InFlightTable {
         }
         self.slots.push_back(Some(msg));
         self.next += 1;
+        self.live += 1;
+        while self.slots.len() > Self::MIN_SPAN && self.slots.len() > Self::MAX_SPARSITY * self.live
+        {
+            let base = self.next - self.slots.len() as u64;
+            if let Some(Some(front)) = self.slots.pop_front() {
+                self.stragglers.insert(base, front);
+                self.live -= 1;
+            }
+            self.trim_front();
+        }
         Ok(())
     }
 
     fn remove(&mut self, id: AsyncMessageId) -> Option<Outbound> {
         let base = self.next - self.slots.len() as u64;
-        let offset = usize::try_from(id.0.checked_sub(base)?).ok()?;
-        let msg = self.slots.get_mut(offset)?.take()?;
+        let Some(offset) = id.0.checked_sub(base) else {
+            return self.stragglers.remove(&id.0);
+        };
+        let msg = self.slots.get_mut(usize::try_from(offset).ok()?)?.take()?;
+        self.live -= 1;
+        self.trim_front();
+        Some(msg)
+    }
+
+    fn trim_front(&mut self) {
         while self.slots.front().is_some_and(Option::is_none) {
             self.slots.pop_front();
         }
-        Some(msg)
     }
 }
 
@@ -1874,6 +1911,55 @@ mod tests {
 
     fn small_topo() -> Topology {
         Topology::parse("R(4)@100_SW(4)@50").unwrap()
+    }
+
+    fn chunk(op: u32) -> Outbound {
+        Outbound::Chunk(ChunkSend {
+            coll: 0,
+            op,
+            src: 0,
+            dst: 1,
+            size: DataSize::from_bytes(1),
+            ready: Time::ZERO,
+        })
+    }
+
+    fn op_of(msg: Option<Outbound>) -> Option<u32> {
+        match msg? {
+            Outbound::Chunk(c) => Some(c.op),
+            Outbound::Peer(_) => None,
+        }
+    }
+
+    #[test]
+    fn in_flight_table_stays_bounded_behind_a_long_message() {
+        let mut table = InFlightTable::default();
+        table.insert(AsyncMessageId(0), chunk(0)).unwrap();
+        // Short messages behind a long one: the window stays short and
+        // the long message moves to the stragglers.
+        for id in 1..5_000u32 {
+            table.insert(AsyncMessageId(id.into()), chunk(id)).unwrap();
+            assert_eq!(op_of(table.remove(AsyncMessageId(id.into()))), Some(id));
+            assert!(table.slots.len() <= InFlightTable::MIN_SPAN);
+        }
+        assert!(table.stragglers.contains_key(&0));
+        // A third of the messages stay in flight: the window grows with
+        // them, never past the sparsity bound.
+        for id in 5_000..20_000u32 {
+            table.insert(AsyncMessageId(id.into()), chunk(id)).unwrap();
+            if id % 3 != 0 {
+                assert_eq!(op_of(table.remove(AsyncMessageId(id.into()))), Some(id));
+            }
+            let bound = InFlightTable::MIN_SPAN.max(InFlightTable::MAX_SPARSITY * table.live);
+            assert!(table.slots.len() <= bound);
+        }
+        assert_eq!(op_of(table.remove(AsyncMessageId(0))), Some(0));
+        assert_eq!(op_of(table.remove(AsyncMessageId(0))), None);
+        for id in (5_001..20_000u32).filter(|id| id % 3 == 0) {
+            assert_eq!(op_of(table.remove(AsyncMessageId(id.into()))), Some(id));
+        }
+        assert!(table.is_empty());
+        assert_eq!(table.live, 0);
     }
 
     #[test]

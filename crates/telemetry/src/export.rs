@@ -49,7 +49,10 @@ const CHROME_EVENT_BYTES: usize = 128;
 
 /// An upper bound on the number of Chrome events [`chrome_trace`] writes
 /// for `trace`: a link reservation yields one busy slice and at most two
-/// queue-depth steps, a dependency edge one arrow start and one end.
+/// queue-depth steps, a dependency edge one arrow start and one end. A new
+/// event kind must be counted here too; an undercount costs regrowth of
+/// the output, not wrong bytes, and `chrome_event_bound_covers_every_event`
+/// catches it.
 fn chrome_event_bound(trace: &SimTrace) -> usize {
     let spans: usize = trace
         .npu_timelines
@@ -402,6 +405,14 @@ mod tests {
         assert!(a.contains("fault:link_down"));
         // Exact fixed-point microsecond timestamps, no f64 formatting.
         assert!(a.contains("\"ts\":1.000000"), "{a}");
+    }
+
+    #[test]
+    fn chrome_event_bound_covers_every_event() {
+        // The sample holds every kind of record the export renders.
+        let trace = sample_trace();
+        let events = chrome_trace(&trace).matches("\"ph\":").count();
+        assert!(events <= chrome_event_bound(&trace), "{events} events");
     }
 
     #[test]
