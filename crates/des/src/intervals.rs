@@ -31,7 +31,18 @@ impl IntervalLog {
         Self::default()
     }
 
+    /// Creates an empty log with room for `capacity` intervals.
+    pub fn with_capacity(capacity: usize) -> Self {
+        IntervalLog {
+            spans: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Records a busy interval `[start, end)`. Empty intervals are ignored.
+    /// An interval that starts where the last recorded one ends extends
+    /// it instead, as a FIFO resource's back-to-back grants do: no
+    /// measure, end or attribution of the log changes, only
+    /// [`IntervalLog::iter`] sees one interval where two were pushed.
     ///
     /// # Panics
     ///
@@ -39,7 +50,10 @@ impl IntervalLog {
     pub fn push(&mut self, start: Time, end: Time) {
         assert!(end >= start, "interval ends before it starts");
         if end > start {
-            self.spans.push((start, end));
+            match self.spans.last_mut() {
+                Some(last) if last.1 == start => last.1 = end,
+                _ => self.spans.push((start, end)),
+            }
         }
     }
 
@@ -83,7 +97,8 @@ impl IntervalLog {
         self.spans.is_empty()
     }
 
-    /// Iterates over the recorded raw intervals in insertion order.
+    /// Iterates over the recorded raw intervals in insertion order, with
+    /// back-to-back ones merged (see [`IntervalLog::push`]).
     pub fn iter(&self) -> impl Iterator<Item = (Time, Time)> + '_ {
         self.spans.iter().copied()
     }
@@ -132,60 +147,63 @@ pub fn attribute_exclusive_intervals(
     logs: &[&IntervalLog],
     horizon: Time,
 ) -> Vec<Vec<(Time, Time)>> {
-    // Boundary sweep: at every segment between consecutive boundaries, find
-    // the highest-priority active category.
-    let mut boundaries: Vec<Time> = vec![Time::ZERO, horizon];
+    // A category owns what it adds to the union of the categories before
+    // it, everything clipped to `[0, horizon)`. `covered` is that union so
+    // far, as disjoint, non-touching intervals in time order, so the
+    // differences below come out coalesced.
+    let mut covered: Vec<(Time, Time)> = Vec::new();
+    let mut out = Vec::with_capacity(logs.len() + 1);
     for log in logs {
-        for (s, e) in log.iter() {
-            boundaries.push(s.min(horizon));
-            boundaries.push(e.min(horizon));
-        }
+        let before = covered.clone();
+        covered.extend(log.iter().filter_map(|(s, e)| {
+            let e = e.min(horizon);
+            (s < e).then_some((s, e))
+        }));
+        covered.sort_unstable();
+        covered.dedup_by(|next, kept| {
+            let joins = next.0 <= kept.1;
+            if joins {
+                kept.1 = kept.1.max(next.1);
+            }
+            joins
+        });
+        out.push(difference(&covered, &before));
     }
-    boundaries.sort_unstable();
-    boundaries.dedup();
+    let all: &[(Time, Time)] = if horizon > Time::ZERO {
+        &[(Time::ZERO, horizon)]
+    } else {
+        &[]
+    };
+    out.push(difference(all, &covered));
+    out
+}
 
-    // Pre-sort each category's intervals for segment lookup via merge.
-    let sorted: Vec<Vec<(Time, Time)>> = logs
-        .iter()
-        .map(|log| {
-            let mut v: Vec<(Time, Time)> = log.iter().collect();
-            v.sort_unstable();
-            v
-        })
-        .collect();
-    let mut cursors = vec![0usize; logs.len()];
-
-    let mut out: Vec<Vec<(Time, Time)>> = vec![Vec::new(); logs.len() + 1];
-    for w in boundaries.windows(2) {
-        let (seg_s, seg_e) = (w[0], w[1]);
-        if seg_e <= seg_s {
-            continue;
-        }
-        let mid = seg_s; // segment is homogeneous; test membership at its start
-        let mut winner = logs.len(); // idle by default
-        for (i, spans) in sorted.iter().enumerate() {
-            // Advance cursor past intervals that ended at or before `mid`.
-            while cursors[i] < spans.len() && spans[cursors[i]].1 <= mid {
-                cursors[i] += 1;
+/// The parts of `a` that `b` does not cover. Both hold disjoint,
+/// non-touching intervals in time order, and so does the result.
+fn difference(a: &[(Time, Time)], b: &[(Time, Time)]) -> Vec<(Time, Time)> {
+    let mut out = Vec::new();
+    let mut cuts = b.iter().peekable();
+    for &(mut s, e) in a {
+        while let Some(&&(cut_s, cut_e)) = cuts.peek() {
+            if cut_e <= s {
+                cuts.next();
+                continue;
             }
-            // Active if any remaining interval covers `mid`. Intervals can
-            // overlap within a category, so scan forward from the cursor.
-            let mut j = cursors[i];
-            while j < spans.len() && spans[j].0 <= mid {
-                if spans[j].1 > mid {
-                    winner = i;
-                    break;
-                }
-                j += 1;
-            }
-            if winner == i {
+            if cut_s >= e {
                 break;
             }
+            if cut_s > s {
+                out.push((s, cut_s));
+            }
+            s = cut_e;
+            if cut_e >= e {
+                // The cut may reach into the next interval of `a`.
+                break;
+            }
+            cuts.next();
         }
-        // Coalesce: consecutive segments with the same winner merge.
-        match out[winner].last_mut() {
-            Some(last) if last.1 == seg_s => last.1 = seg_e,
-            _ => out[winner].push((seg_s, seg_e)),
+        if s < e {
+            out.push((s, e));
         }
     }
     out
@@ -208,6 +226,22 @@ mod tests {
         assert_eq!(log.union_measure(), us(7));
         assert_eq!(log.raw_measure(), us(9));
         assert_eq!(log.end(), us(11));
+    }
+
+    #[test]
+    fn back_to_back_intervals_merge() {
+        let mut log = IntervalLog::new();
+        log.push(us(0), us(2));
+        log.push(us(2), us(5));
+        log.push(us(5), us(5));
+        log.push(us(5), us(6));
+        log.push(us(4), us(7)); // overlaps: kept apart
+        log.push(us(8), us(9));
+        let spans: Vec<_> = log.iter().collect();
+        assert_eq!(spans, [(us(0), us(6)), (us(4), us(7)), (us(8), us(9))]);
+        assert_eq!(log.union_measure(), us(8));
+        assert_eq!(log.raw_measure(), us(10));
+        assert_eq!(log.end(), us(9));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property-based tests for the DES kernel invariants.
 
 use astra_des::{
-    attribute_exclusive, ArrivalRun, Bandwidth, DataSize, EventQueue, FifoResource, IntervalLog,
-    Time, TrainProfile,
+    attribute_exclusive, attribute_exclusive_intervals, ArrivalRun, Bandwidth, DataSize,
+    EventQueue, FifoResource, IntervalLog, Time, TrainProfile,
 };
 use proptest::prelude::*;
 
@@ -120,6 +120,50 @@ proptest! {
         // Highest-priority category is never shadowed: it gets exactly its
         // union measure (clipped to the horizon).
         prop_assert_eq!(out[0], la.union_measure().min(horizon));
+    }
+
+    /// The attributed segments are exactly the runs of instants with the
+    /// same winner, found by testing every picosecond, including for
+    /// intervals that overlap, touch, nest or run past the horizon.
+    #[test]
+    fn attribution_matches_a_pointwise_sweep(
+        logs in prop::collection::vec(
+            prop::collection::vec((0u64..400, 0u64..150), 0..25),
+            0..5,
+        ),
+        horizon in 0u64..600,
+    ) {
+        let logs: Vec<IntervalLog> = logs
+            .iter()
+            .map(|spans| {
+                let mut log = IntervalLog::new();
+                for &(s, d) in spans {
+                    log.push(Time::from_ps(s), Time::from_ps(s + d));
+                }
+                log
+            })
+            .collect();
+        let refs: Vec<&IntervalLog> = logs.iter().collect();
+        let mut expected = vec![Vec::<(Time, Time)>::new(); logs.len() + 1];
+        for t in 0..horizon {
+            let t = Time::from_ps(t);
+            let winner = logs
+                .iter()
+                .position(|log| log.iter().any(|(s, e)| s <= t && t < e))
+                .unwrap_or(logs.len());
+            let end = t + Time::from_ps(1);
+            match expected[winner].last_mut() {
+                Some(last) if last.1 == t => last.1 = end,
+                _ => expected[winner].push((t, end)),
+            }
+        }
+        let horizon = Time::from_ps(horizon);
+        let measures: Vec<Time> = expected
+            .iter()
+            .map(|spans| spans.iter().map(|&(s, e)| e - s).sum())
+            .collect();
+        prop_assert_eq!(attribute_exclusive_intervals(&refs, horizon), expected);
+        prop_assert_eq!(attribute_exclusive(&refs, horizon), measures);
     }
 
     /// Bulk train reservation is bit-identical to acquiring every packet

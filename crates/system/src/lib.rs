@@ -27,6 +27,7 @@
 //! [`CollectiveEngine`]: astra_collectives::CollectiveEngine
 
 mod engine;
+mod program;
 mod report;
 
 pub use engine::{

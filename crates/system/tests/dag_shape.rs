@@ -3,9 +3,11 @@
 //! every NPU interleaving collectives on the two groups it belongs to.
 //! The engine's dependency adjacency and its per-(group, member)
 //! collective instance counters must reproduce the pinned times exactly.
+//! A second trace has members run several instances ahead of their
+//! groups, which keeps more than one instance per group waiting.
 
 use astra_collectives::{Collective, SchedulerPolicy};
-use astra_des::{DataSize, Time};
+use astra_des::{DataSize, QueueBackend, Time};
 use astra_system::{simulate, SystemConfig};
 use astra_topology::Topology;
 use astra_workload::{EtOp, ExecutionTrace, NodeId, TraceBuilder};
@@ -111,4 +113,111 @@ fn themis_times_are_pinned() {
     assert_eq!(Time::from_ps(total), Time::from_ps(2_669_047_656));
     let (even, odd) = (2_562_637_414, 2_669_047_656);
     assert_eq!(finish, [even, odd].repeat(NPUS / 2));
+}
+
+/// Eight NPUs on the same 2×2×2 grid, in three kinds of overlapping
+/// groups: pairs (dim 0), quads (dims 0 and 1) and planes (dims 1 and 2).
+/// Each even NPU issues three collectives on its pair at once, before its
+/// odd partner, busy with a long compute op, has issued its first; so the
+/// pair has three instances open at the same time. The quads and planes
+/// mix eager and late members.
+fn run_ahead_trace() -> ExecutionTrace {
+    let mut b = TraceBuilder::new(NPUS).with_name("run-ahead");
+    let pairs: Vec<_> = (0..NPUS / 2)
+        .map(|k| b.add_group(vec![2 * k, 2 * k + 1]))
+        .collect();
+    let quads: Vec<_> = (0..2)
+        .map(|h| b.add_group((4 * h..4 * h + 4).collect()))
+        .collect();
+    let planes: Vec<_> = (0..2)
+        .map(|c| b.add_group((0..NPUS / 2).map(|k| 2 * k + c).collect()))
+        .collect();
+    let collective = |collective, mib: u64, group| EtOp::Collective {
+        collective,
+        size: DataSize::from_mib(mib),
+        group,
+    };
+    for npu in 0..NPUS {
+        let (pair, quad, plane) = (pairs[npu / 2], quads[npu / 4], planes[npu % 2]);
+        let pair_ops = [
+            collective(Collective::AllReduce, 8, pair),
+            collective(Collective::AllGather, 4, pair),
+            collective(Collective::ReduceScatter, 6, pair),
+        ];
+        let mut nodes = Vec::new();
+        if npu % 2 == 0 {
+            let c: Vec<NodeId> = pair_ops
+                .iter()
+                .enumerate()
+                .map(|(k, &op)| b.node(npu, format!("pair{k}"), op, &[]))
+                .collect();
+            nodes.push(b.node(
+                npu,
+                "quad",
+                collective(Collective::AllReduce, 16, quad),
+                &[c[1]],
+            ));
+            nodes.push(b.node(
+                npu,
+                "plane",
+                collective(Collective::AllGather, 12, plane),
+                &[c[2]],
+            ));
+            nodes.extend(c);
+        } else {
+            let root = b.node(
+                npu,
+                "root",
+                EtOp::Compute {
+                    flops: 5e10 * (npu as f64 + 1.0),
+                    tensor: DataSize::from_kib(64),
+                },
+                &[],
+            );
+            let c0 = b.node(npu, "pair0", pair_ops[0], &[root]);
+            nodes.push(b.node(
+                npu,
+                "quad",
+                collective(Collective::AllReduce, 16, quad),
+                &[root],
+            ));
+            let c1 = b.node(npu, "pair1", pair_ops[1], &[c0]);
+            let c2 = b.node(npu, "pair2", pair_ops[2], &[c1]);
+            nodes.push(b.node(
+                npu,
+                "plane",
+                collective(Collective::AllGather, 12, plane),
+                &[c2],
+            ));
+            nodes.extend([root, c0, c1, c2]);
+        }
+        b.node(
+            npu,
+            "join",
+            EtOp::Compute {
+                flops: 2e9,
+                tensor: DataSize::from_kib(64),
+            },
+            &nodes,
+        );
+    }
+    b.build().unwrap()
+}
+
+#[test]
+fn members_running_ahead_of_their_groups_are_pinned() {
+    let topo = Topology::parse("R(2)@100_SW(2)@25_SW(2)@50").unwrap();
+    for queue_backend in QueueBackend::ALL {
+        let config = SystemConfig {
+            queue_backend,
+            ..SystemConfig::default()
+        };
+        let report = simulate(&run_ahead_trace(), &topo, &config).unwrap();
+        // 4 pairs × 3 instances, 2 quads and 2 planes × 1.
+        assert_eq!(report.collectives, 16, "{queue_backend}");
+        assert_eq!(report.total_time, Time::from_ps(2_164_161_358));
+        let finish: Vec<u64> = report.per_npu_finish.iter().map(|t| t.as_ps()).collect();
+        let (low, high) = (2_110_413_358, 2_164_161_358);
+        assert_eq!(finish, [[low; 4], [high; 4]].concat(), "{queue_backend}");
+    }
 }
